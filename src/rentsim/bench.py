@@ -18,7 +18,7 @@ from .bounds import ORACLE_DEFAULT_LIMIT, brute_force_opt
 from .core import compute_stats
 from .engine import simulate
 from .generators import UniformParams, gen_uniform
-from .strategies import parse_strategy
+from .strategies import build_strategy
 
 __all__ = ["ExperimentSpec", "AggregateRow", "BenchError", "run_experiment",
            "rows_to_csv", "summary_table"]
@@ -49,7 +49,6 @@ class ExperimentSpec:
     trials: int
     seed_base: int
     oracle: bool = False
-    oracle_limit: int = ORACLE_DEFAULT_LIMIT
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -81,13 +80,13 @@ class AggregateRow:
 
 def _run_trial(args) -> list[tuple[str, int, Fraction]]:
     """One seeded sequence, all strategies on it; returns (name, cost, util) rows."""
-    n, e, t, mu, seed, strategy_names, oracle, oracle_limit = args
+    n, e, t, mu, seed, strategy_names, oracle = args
     seq = gen_uniform(UniformParams(n=n, e=e, t=t, mu=mu, seed=seed))
     util = compute_stats(seq).util
-    opt = brute_force_opt(seq, limit=oracle_limit) if oracle and n <= oracle_limit else None
+    opt = brute_force_opt(seq) if oracle and n <= ORACLE_DEFAULT_LIMIT else None
     out = []
     for name in strategy_names:
-        strategy = parse_strategy(name, e, mu=mu).build()
+        strategy = build_strategy(name, e, mu=mu)
         result = simulate(strategy, seq, record_events=False)
         if Fraction(result.total_cost) < util:
             raise BenchError(
@@ -117,8 +116,7 @@ def run_experiment(spec: ExperimentSpec) -> list[AggregateRow]:
                 for mu in spec.mus:
                     cell = f"n={n} e={e} t={t} mu={mu}"
                     tasks = [
-                        (n, e, t, mu, spec.seed_base + i, spec.strategies,
-                         spec.oracle, spec.oracle_limit)
+                        (n, e, t, mu, spec.seed_base + i, spec.strategies, spec.oracle)
                         for i in range(spec.trials)
                     ]
                     try:

@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import JobSequence, SequenceStats, compute_stats, union_measure
+from .core import (
+    JobSequence,
+    SequenceStats,
+    compute_stats,
+    fraction_json,
+    merge_intervals,
+    union_measure,
+)
 from .engine import RunResult
 
 __all__ = [
@@ -34,13 +41,6 @@ __all__ = [
 ORACLE_DEFAULT_LIMIT = 8
 
 
-def _frac_json(value: Fraction | int):
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return int(frac)
-    return str(frac)
-
-
 @dataclass(frozen=True, slots=True)
 class BoundEntry:
     """One checked inequality between a formula value and a measured cost."""
@@ -50,11 +50,21 @@ class BoundEntry:
     cost: Fraction
     satisfied: bool
 
+    @classmethod
+    def at_most(cls, name: str, formula_value, cost) -> BoundEntry:
+        """The upper bound ``cost <= formula_value``."""
+        return cls(name, Fraction(formula_value), Fraction(cost), cost <= formula_value)
+
+    @classmethod
+    def at_least(cls, name: str, formula_value, cost) -> BoundEntry:
+        """The lower bound ``cost >= formula_value``."""
+        return cls(name, Fraction(formula_value), Fraction(cost), cost >= formula_value)
+
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "formula_value": _frac_json(self.formula_value),
-            "cost": _frac_json(self.cost),
+            "formula_value": fraction_json(self.formula_value),
+            "cost": fraction_json(self.cost),
             "satisfied": self.satisfied,
         }
 
@@ -76,16 +86,19 @@ class BoundReport:
     def to_json(self) -> dict:
         return {
             "lb_span": self.lb_span,
-            "lb_util": _frac_json(self.lb_util),
-            "lb": _frac_json(self.lb),
-            "opt_exact": None if self.opt_exact is None else _frac_json(self.opt_exact),
+            "lb_util": fraction_json(self.lb_util),
+            "lb": fraction_json(self.lb),
+            "opt_exact": None if self.opt_exact is None else fraction_json(self.opt_exact),
             "checks": [entry.to_json() for entry in self.entries],
         }
 
 
 def lower_bound(seq: JobSequence) -> tuple[int, Fraction, Fraction]:
     """Span and utilization lower bounds; any algorithm's cost is >= both."""
-    stats = compute_stats(seq)
+    return _lower_bounds(compute_stats(seq))
+
+
+def _lower_bounds(stats: SequenceStats) -> tuple[int, Fraction, Fraction]:
     return stats.span, stats.util, max(Fraction(stats.span), stats.util)
 
 
@@ -162,22 +175,13 @@ def check_nf_bound(
     size precondition actually holds for the sequence.
     """
     _require(result, "nf", "check_nf_bound")
-    cost = Fraction(result.total_cost)
+    cost, p = result.total_cost, result.critical_count
     mu_delta = stats.mu * stats.delta  # == max job length
-    p = Fraction(result.critical_count)
     entries = [
-        BoundEntry(
-            name="nf_worst_case",
-            formula_value=stats.span + 2 * stats.total_size * mu_delta,
-            cost=cost,
-            satisfied=cost <= stats.span + 2 * stats.total_size * mu_delta,
+        BoundEntry.at_most(
+            "nf_worst_case", stats.span + 2 * stats.total_size * mu_delta, cost
         ),
-        BoundEntry(
-            name="nf_critical_cap",
-            formula_value=2 * stats.total_size,
-            cost=p,
-            satisfied=p <= 2 * stats.total_size,
-        ),
+        BoundEntry.at_most("nf_critical_cap", 2 * stats.total_size, p),
     ]
     if k is not None:
         k = Fraction(k)
@@ -186,21 +190,11 @@ def check_nf_bound(
         if k >= 2 and Fraction(max_size) * k <= e:
             cap = stats.total_size / (1 - 1 / k)
             entries.append(
-                BoundEntry(
-                    name=f"nf_worst_case_small_k={k}",
-                    formula_value=stats.span + cap * mu_delta,
-                    cost=cost,
-                    satisfied=cost <= stats.span + cap * mu_delta,
+                BoundEntry.at_most(
+                    f"nf_worst_case_small_k={k}", stats.span + cap * mu_delta, cost
                 )
             )
-            entries.append(
-                BoundEntry(
-                    name=f"nf_critical_cap_small_k={k}",
-                    formula_value=cap,
-                    cost=p,
-                    satisfied=p <= cap,
-                )
-            )
+            entries.append(BoundEntry.at_most(f"nf_critical_cap_small_k={k}", cap, p))
     return entries
 
 
@@ -210,27 +204,10 @@ def check_mnf_bound(
     """Modified Next Fit guarantee: cost <= K * util * max{1, mu/(K-1)} + span."""
     _require(result, "mnf", "check_mnf_bound")
     k = Fraction(k)
-    cost = Fraction(result.total_cost)
     factor = max(Fraction(1), stats.mu / (k - 1))
-    bound = k * stats.util * factor + stats.span
-    return BoundEntry(
-        name=f"mnf_guarantee_k={k}",
-        formula_value=bound,
-        cost=cost,
-        satisfied=cost <= bound,
+    return BoundEntry.at_most(
+        f"mnf_guarantee_k={k}", k * stats.util * factor + stats.span, result.total_cost
     )
-
-
-def _continuous_segments(seq: JobSequence) -> list[tuple[int, int]]:
-    """Maximal intervals in which at least one job is active."""
-    merged: list[tuple[int, int]] = []
-    for start, end in sorted((j.arrival, j.departure) for j in seq.jobs):
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-    return merged
 
 
 def check_mtf_bound(result: RunResult, stats: SequenceStats) -> BoundEntry:
@@ -246,7 +223,7 @@ def check_mtf_bound(result: RunResult, stats: SequenceStats) -> BoundEntry:
     mu1 = stats.mu + 1
     satisfied = True
     total_formula = Fraction(0)
-    for start, end in _continuous_segments(seq):
+    for start, end in merge_intervals((j.arrival, j.departure) for j in seq.jobs):
         seg_jobs = [j for j in seq.jobs if start <= j.arrival < end]
         seg_util = Fraction(sum(j.size * j.length for j in seg_jobs), e)
         seg_span = end - start
@@ -273,24 +250,14 @@ def check_universal_bounds(
     Lower: cost >= span and cost >= util.  Upper: cost <= total length;
     and with k = E / min size (so every size is >= E/k), cost <= k * util.
     """
-    cost = Fraction(result.total_cost)
+    cost = result.total_cost
     seq = result.trace.sequence
     k = Fraction(seq.capacity.e, min(job.size for job in seq.jobs))
     return [
-        BoundEntry("lb_span", Fraction(stats.span), cost, cost >= stats.span),
-        BoundEntry("lb_util", stats.util, cost, cost >= stats.util),
-        BoundEntry(
-            "ub_total_length",
-            Fraction(stats.total_length),
-            cost,
-            cost <= stats.total_length,
-        ),
-        BoundEntry(
-            f"ub_sizes_geq_e_over_k_k={k}",
-            k * stats.util,
-            cost,
-            cost <= k * stats.util,
-        ),
+        BoundEntry.at_least("lb_span", stats.span, cost),
+        BoundEntry.at_least("lb_util", stats.util, cost),
+        BoundEntry.at_most("ub_total_length", stats.total_length, cost),
+        BoundEntry.at_most(f"ub_sizes_geq_e_over_k_k={k}", k * stats.util, cost),
     ]
 
 
@@ -304,7 +271,6 @@ def build_report(
     """Gather universal checks plus the checks specific to the run's strategy."""
     seq = result.trace.sequence
     stats = compute_stats(seq)
-    lb_span, lb_util, lb = stats.span, stats.util, max(Fraction(stats.span), stats.util)
     entries = list(check_universal_bounds(result, stats))
     kind, _, param = result.strategy.partition(":")
     if kind == "nf":
@@ -316,18 +282,5 @@ def build_report(
     opt_exact: Fraction | None = None
     if with_oracle:
         opt_exact = Fraction(brute_force_opt(seq, limit=oracle_limit))
-        entries.append(
-            BoundEntry(
-                "cost_geq_opt",
-                opt_exact,
-                Fraction(result.total_cost),
-                Fraction(result.total_cost) >= opt_exact,
-            )
-        )
-    return BoundReport(
-        lb_span=lb_span,
-        lb_util=lb_util,
-        lb=lb,
-        opt_exact=opt_exact,
-        entries=tuple(entries),
-    )
+        entries.append(BoundEntry.at_least("cost_geq_opt", opt_exact, result.total_cost))
+    return BoundReport(*_lower_bounds(stats), opt_exact=opt_exact, entries=tuple(entries))

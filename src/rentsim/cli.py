@@ -21,7 +21,13 @@ from .bench import (
     summary_table,
 )
 from .bounds import ORACLE_DEFAULT_LIMIT, build_report
-from .core import compute_stats, read_sequence_csv, validate_trace, write_sequence_csv
+from .core import (
+    compute_stats,
+    fraction_json,
+    read_sequence_csv,
+    validate_trace,
+    write_sequence_csv,
+)
 from .engine import (
     InfeasiblePlacementError,
     read_event_csv,
@@ -30,7 +36,7 @@ from .engine import (
     write_event_csv,
 )
 from .generators import AdversaryParams, UniformParams, gen_adversarial, gen_uniform
-from .strategies import parse_strategy
+from .strategies import build_strategy
 
 # benchmark defaults, desk scale; full scale sits behind the same flags
 DESK_N = 10_000
@@ -70,7 +76,7 @@ def cmd_generate(args) -> int:
     sidecar.write_text(
         json.dumps(
             {
-                "offline_cost": _json_value(offline_cost),
+                "offline_cost": fraction_json(offline_cost),
                 "eps": str(eps),
                 "mu": args.mu,
                 "delta": args.delta,
@@ -85,15 +91,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _json_value(value):
-    frac = Fraction(value)
-    return int(frac) if frac.denominator == 1 else str(frac)
-
-
 def cmd_run(args) -> int:
     seq = read_sequence_csv(args.sequence)
     stats = compute_stats(seq)
-    strategy = parse_strategy(args.strategy, seq.capacity.e, mu=stats.mu).build()
+    strategy = build_strategy(args.strategy, seq.capacity.e, mu=stats.mu)
     result = simulate(strategy, seq)
     violations = validate_trace(result.trace)
     nf_k = Fraction(args.nf_k) if args.nf_k else None

@@ -32,15 +32,18 @@ __all__ = [
     "Violation",
     "compute_stats",
     "validate_trace",
+    "merge_intervals",
     "union_measure",
+    "fraction_json",
     "read_sequence_csv",
     "write_sequence_csv",
 ]
 
 CSV_HEADER = ["id", "size", "arrival", "departure"]
 
-# depart/release happen strictly before arrive/place/close within a time step
-_EVENT_PHASE = {"depart": 0, "release": 0, "arrive": 1, "place": 1, "close": 1}
+# the event kinds; depart/release happen strictly before arrive/place/close
+# within a time step
+EVENT_PHASE = {"depart": 0, "release": 0, "arrive": 1, "place": 1, "close": 1}
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,12 +115,6 @@ class JobSequence:
     def __iter__(self):
         return iter(self.jobs)
 
-    def job_by_id(self, job_id: int) -> Job:
-        for job in self.jobs:
-            if job.id == job_id:
-                return job
-        raise KeyError(job_id)
-
 
 @dataclass(frozen=True, slots=True)
 class SequenceStats:
@@ -139,22 +136,30 @@ class SequenceStats:
     mu: Fraction
 
 
+def merge_intervals(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Maximal disjoint segments covering a set of half-open integer intervals.
+
+    Overlapping, nested and touching intervals merge; segments come out sorted.
+    """
+    merged: list[tuple[int, int]] = []
+    for start, end in sorted(intervals):
+        if merged and start <= merged[-1][1]:
+            if end > merged[-1][1]:
+                merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((start, end))
+    return merged
+
+
 def union_measure(intervals: Iterable[tuple[int, int]]) -> int:
     """Total length covered by a set of half-open integer intervals."""
-    spans = sorted(intervals)
-    total = 0
-    cur_start: int | None = None
-    cur_end = 0
-    for start, end in spans:
-        if cur_start is None or start > cur_end:
-            if cur_start is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        elif end > cur_end:
-            cur_end = end
-    if cur_start is not None:
-        total += cur_end - cur_start
-    return total
+    return sum(end - start for start, end in merge_intervals(intervals))
+
+
+def fraction_json(value: Fraction | int) -> int | str:
+    """An exact rational for JSON: an int when integral, else the string ``p/q``."""
+    frac = Fraction(value)
+    return int(frac) if frac.denominator == 1 else str(frac)
 
 
 def compute_stats(seq: JobSequence) -> SequenceStats:
@@ -219,19 +224,6 @@ class PlacementTrace:
     assignments: Mapping[int, int]
     servers: tuple[ServerRecord, ...]
     events: tuple[Event, ...] = ()
-
-    def server_by_id(self, server_id: int) -> ServerRecord:
-        for srv in self.servers:
-            if srv.id == server_id:
-                return srv
-        raise KeyError(server_id)
-
-    def resident_jobs(self, server_id: int, t: int) -> frozenset[int]:
-        """Job ids resident in a server at time t."""
-        srv = self.server_by_id(server_id)
-        return frozenset(
-            jid for jid in srv.jobs if self.sequence.job_by_id(jid).active_at(t)
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,7 +325,7 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
 
     prev: tuple[int, int] | None = None
     for ev in trace.events:
-        key = (ev.t, _EVENT_PHASE[ev.kind])
+        key = (ev.t, EVENT_PHASE[ev.kind])
         if prev is not None and key < prev:
             violations.append(
                 Violation("event-log-out-of-order", time=ev.t, detail=ev.kind)
@@ -353,28 +345,45 @@ def write_sequence_csv(seq: JobSequence, path) -> None:
 
 
 def read_sequence_csv(path) -> JobSequence:
-    """Read the interchange CSV written by :func:`write_sequence_csv`."""
+    """Read the interchange CSV written by :func:`write_sequence_csv`.
+
+    A malformed line raises ValueError naming its line number.
+    """
     capacity: int | None = None
     rows: list[Job] = []
     header_seen = False
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
                 if body.startswith("capacity="):
-                    capacity = int(body.split("=", 1)[1])
+                    value = body.split("=", 1)[1]
+                    try:
+                        capacity = int(value)
+                    except ValueError:
+                        raise ValueError(
+                            f"line {lineno}: capacity {value!r} is not an integer"
+                        ) from None
                 continue
             fields = next(csv.reader([line]))
             if not header_seen:
                 if fields != CSV_HEADER:
-                    raise ValueError(f"bad header {fields!r}, expected {CSV_HEADER}")
+                    raise ValueError(
+                        f"line {lineno}: bad header {fields!r}, expected {CSV_HEADER}"
+                    )
                 header_seen = True
                 continue
-            jid, size, arrival, departure = (int(v) for v in fields)
-            rows.append(Job(jid, size, arrival, departure))
+            if len(fields) != len(CSV_HEADER):
+                raise ValueError(
+                    f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(fields)}"
+                )
+            try:
+                rows.append(Job(*(int(v) for v in fields)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     if not header_seen:
         raise ValueError("missing header line")
     if capacity is None:

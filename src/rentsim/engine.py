@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Hashable, Protocol
 
 from .core import (
+    EVENT_PHASE,
     Event,
     Job,
     JobSequence,
@@ -280,6 +281,11 @@ def write_event_csv(events, path) -> None:
 
 
 def read_event_csv(path) -> tuple[Event, ...]:
+    """Read an event log written by :func:`write_event_csv`.
+
+    A row with an unknown kind, a field count other than four, or a
+    non-integer number raises ValueError naming its line number.
+    """
     events: list[Event] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -289,15 +295,25 @@ def read_event_csv(path) -> tuple[Event, ...]:
         for row in reader:
             if not row:
                 continue
-            t, kind, job_id, server_id = row
-            events.append(
-                Event(
-                    int(t),
-                    kind,
-                    int(job_id) if job_id else None,
-                    int(server_id) if server_id else None,
+            if len(row) != len(EVENT_HEADER):
+                raise ValueError(
+                    f"line {reader.line_num}: expected {len(EVENT_HEADER)} fields, "
+                    f"got {len(row)}"
                 )
-            )
+            t, kind, job_id, server_id = row
+            if kind not in EVENT_PHASE:
+                raise ValueError(f"line {reader.line_num}: unknown event kind {kind!r}")
+            try:
+                events.append(
+                    Event(
+                        int(t),
+                        kind,
+                        int(job_id) if job_id else None,
+                        int(server_id) if server_id else None,
+                    )
+                )
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
     return tuple(events)
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .engine import ArrivalView, Decision, ServerView
+from .engine import ArrivalView, Decision
 
 __all__ = [
     "StrategyConfig",
@@ -32,11 +33,6 @@ __all__ = [
     "STRATEGY_KINDS",
 ]
 
-STRATEGY_KINDS = ("nf", "mnf", "ff", "mff", "bf", "harmonic", "mtf")
-
-# kinds whose K parameter is derived from mu when omitted (benchmark usage)
-_MU_DEFAULT_OFFSET = {"mnf": 1, "mff": 7}
-
 
 @dataclass(frozen=True)
 class StrategyConfig:
@@ -47,36 +43,20 @@ class StrategyConfig:
     e: int
 
     def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
+        spec = _KINDS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind in ("mnf", "mff", "harmonic"):
-            if self.k is None:
-                raise ValueError(f"{self.kind} requires a parameter K")
-            if self.kind == "mnf" and self.k < 2:
-                raise ValueError(f"mnf requires K >= 2, got {self.k}")
-            if self.kind == "mff" and self.k <= 0:
-                raise ValueError(f"mff requires K > 0, got {self.k}")
-            if self.kind == "harmonic" and (
-                self.k.denominator != 1 or self.k < 1
-            ):
-                raise ValueError(f"harmonic requires integer K >= 1, got {self.k}")
-        elif self.k is not None:
-            raise ValueError(f"{self.kind} takes no parameter")
+        if spec.admits is None:
+            if self.k is not None:
+                raise ValueError(f"{self.kind} takes no parameter")
+        elif self.k is None:
+            raise ValueError(f"{self.kind} requires a parameter K")
+        else:
+            _checked_k(self.kind, self.k)
 
     def build(self):
-        if self.kind == "nf":
-            return NextFit(self.e)
-        if self.kind == "mnf":
-            return ModifiedNextFit(self.e, self.k)
-        if self.kind == "ff":
-            return FirstFit(self.e)
-        if self.kind == "mff":
-            return ModifiedFirstFit(self.e, self.k)
-        if self.kind == "bf":
-            return BestFit(self.e)
-        if self.kind == "harmonic":
-            return Harmonic(self.e, int(self.k))
-        return MoveToFront(self.e)
+        cls = _KINDS[self.kind].cls
+        return cls(self.e) if self.k is None else cls(self.e, self.k)
 
 
 def parse_strategy(text: str, e: int, mu: int | None = None) -> StrategyConfig:
@@ -88,7 +68,7 @@ def parse_strategy(text: str, e: int, mu: int | None = None) -> StrategyConfig:
     """
     kind, sep, param = text.strip().partition(":")
     kind = kind.lower()
-    if kind not in STRATEGY_KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown strategy {text!r}")
     k: Fraction | None = None
     if sep:
@@ -96,15 +76,24 @@ def parse_strategy(text: str, e: int, mu: int | None = None) -> StrategyConfig:
             k = Fraction(param)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad parameter in {text!r}: {exc}") from exc
-    elif kind in _MU_DEFAULT_OFFSET:
+    elif (offset := _KINDS[kind].mu_offset) is not None:
         if mu is None:
             raise ValueError(f"{kind} requires a parameter, e.g. {kind}:3")
-        k = Fraction(mu + _MU_DEFAULT_OFFSET[kind])
+        k = Fraction(mu + offset)
     return StrategyConfig(kind=kind, k=k, e=e)
 
 
 def build_strategy(text: str, e: int, mu: int | None = None):
     return parse_strategy(text, e, mu).build()
+
+
+def _checked_k(kind: str, k) -> Fraction:
+    """K as an exact rational, or ValueError if ``kind`` does not admit it."""
+    spec = _KINDS[kind]
+    k = Fraction(k)
+    if not spec.admits(k):
+        raise ValueError(f"{kind} requires {spec.k_text}, got {k}")
+    return k
 
 
 class _Base:
@@ -144,9 +133,7 @@ class ModifiedNextFit(_Base):
 
     def __init__(self, e: int, k: Fraction):
         super().__init__(e)
-        if k < 2:
-            raise ValueError(f"mnf requires K >= 2, got {k}")
-        self.k = Fraction(k)
+        self.k = _checked_k("mnf", k)
         self.name = f"mnf:{self.k}"
 
     def place(self, view: ArrivalView) -> Decision:
@@ -171,9 +158,7 @@ class ModifiedFirstFit(_Base):
 
     def __init__(self, e: int, k: Fraction):
         super().__init__(e)
-        if k <= 0:
-            raise ValueError(f"mff requires K > 0, got {k}")
-        self.k = Fraction(k)
+        self.k = _checked_k("mff", k)
         self.name = f"mff:{self.k}"
 
     def place(self, view: ArrivalView) -> Decision:
@@ -196,9 +181,6 @@ class BestFit(_Base):
                 return Decision(place_in=srv.id)
         return Decision(place_in=None)
 
-    def ordered_bins(self, view: ArrivalView) -> list[int]:
-        return [s.id for s in sorted(view.servers, key=lambda s: -s.level)]
-
 
 class Harmonic(_Base):
     """Next Fit per harmonic size class.
@@ -209,9 +191,7 @@ class Harmonic(_Base):
 
     def __init__(self, e: int, k: int):
         super().__init__(e)
-        if k < 1:
-            raise ValueError(f"harmonic requires integer K >= 1, got {k}")
-        self.k = int(k)
+        self.k = int(_checked_k("harmonic", k))
         self.name = f"harmonic:{self.k}"
 
     def size_class(self, size: int) -> int:
@@ -233,14 +213,28 @@ class MoveToFront(_Base):
 
     def place(self, view: ArrivalView) -> Decision:
         stamp = max((s.tag for s in view.servers), default=0) + 1
-        for srv in self.ordered_views(view):
+        for srv in sorted(view.servers, key=lambda s: -s.tag):
             if srv.level + view.size <= self.e:
                 return Decision(place_in=srv.id, tag=stamp)
         return Decision(place_in=None, tag=stamp)
 
-    @staticmethod
-    def ordered_views(view: ArrivalView) -> list[ServerView]:
-        return sorted(view.servers, key=lambda s: -s.tag)
 
-    def ordered_bins(self, view: ArrivalView) -> list[int]:
-        return [s.id for s in self.ordered_views(view)]
+class _Kind(NamedTuple):
+    """How a selection kind is built, and which K it admits (``admits`` None: no K)."""
+
+    cls: type
+    admits: Callable[[Fraction], bool] | None = None
+    k_text: str = ""
+    mu_offset: int | None = None  # K = mu + offset when a bare kind is given with mu
+
+
+_KINDS = {
+    "nf": _Kind(NextFit),
+    "mnf": _Kind(ModifiedNextFit, lambda k: k >= 2, "K >= 2", 1),
+    "ff": _Kind(FirstFit),
+    "mff": _Kind(ModifiedFirstFit, lambda k: k > 0, "K > 0", 7),
+    "bf": _Kind(BestFit),
+    "harmonic": _Kind(Harmonic, lambda k: k.denominator == 1 and k >= 1, "integer K >= 1"),
+    "mtf": _Kind(MoveToFront),
+}
+STRATEGY_KINDS = tuple(_KINDS)

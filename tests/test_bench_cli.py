@@ -168,6 +168,23 @@ def test_cli_run_events_then_verify_round_trip(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("1,shut,,1", "line 2: unknown event kind 'shut'"),
+     ("1,place,1", "line 2: expected 4 fields, got 3")],
+)
+def test_cli_verify_malformed_event_row_exits_2(tmp_path, capsys, row, message):
+    seq_path, ev_path = tmp_path / "ex.csv", tmp_path / "ev.csv"
+    _write_three_job_instance(seq_path)
+    assert main(["run", "nf", str(seq_path), "--events", str(ev_path)]) == 0
+    lines = ev_path.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, row)
+    ev_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(seq_path), str(ev_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["run"])  # missing positionals

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from rentsim import (
     validate_trace,
     write_sequence_csv,
 )
-from rentsim.core import union_measure
+from rentsim.core import merge_intervals, union_measure
 
 from helpers import job_sequences, pointwise_span
 
@@ -84,6 +85,9 @@ def test_union_measure_handles_nesting_and_touching():
     assert union_measure([(0, 5), (1, 2), (5, 7)]) == 7
     assert union_measure([(3, 4), (0, 1)]) == 2
     assert union_measure([]) == 0
+    assert merge_intervals([(5, 7), (0, 5)]) == [(0, 7)]
+    assert merge_intervals([(0, 5), (1, 2), (8, 9)]) == [(0, 5), (8, 9)]
+    assert merge_intervals([]) == []
 
 
 @given(job_sequences())
@@ -181,3 +185,15 @@ def test_sequence_csv_requires_capacity_and_header(tmp_path):
     bad_header.write_text("# capacity=5\nid,size,start,end\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
         read_sequence_csv(bad_header)
+    header = "# capacity=5\nid,size,arrival,departure\n"
+    for body, message in [
+        ("# capacity=five\nid,size,arrival,departure\n", "line 1: capacity 'five'"),
+        (header + "1,x,0,1\n", "line 3: invalid literal for int()"),
+        (header + "1,1,0,1\n\n2,1,0,1,9\n", "line 5: expected 4 fields, got 5"),
+        (header + "1,1,0\n", "line 3: expected 4 fields, got 3"),
+        (header + "1,1,3,2\n", "line 3: job 1: departure 2 must exceed arrival 3"),
+    ]:
+        bad = tmp_path / "c.csv"
+        bad.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_sequence_csv(bad)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,19 @@ def test_parse_all_selection_strings():
 def test_parse_rejects_bad_selections(text):
     with pytest.raises(ValueError):
         parse_strategy(text, 10)
+
+
+@pytest.mark.parametrize(
+    "cls, k, text",
+    [(ModifiedNextFit, 1, "mnf:1"), (ModifiedFirstFit, 0, "mff:0"),
+     (Harmonic, Fraction(5, 2), "harmonic:2.5")],
+    ids=["mnf", "mff", "harmonic"],
+)
+def test_constructors_reject_what_parsing_rejects(cls, k, text):
+    with pytest.raises(ValueError) as parsed:
+        parse_strategy(text, 10)
+    with pytest.raises(ValueError, match=re.escape(str(parsed.value))):
+        cls(10, k)
 
 
 def test_parse_fills_parameter_from_mu():
