@@ -107,8 +107,13 @@ def run_experiment(spec: ExperimentSpec) -> list[AggregateRow]:
 
     Any single-run failure aborts the cell with a :class:`BenchError`
     naming the cell.  Rows come out in grid order, strategies in the
-    order given, so the output is reproducible byte for byte.
+    order given, so the output is reproducible byte for byte.  A bad
+    strategy selection raises ValueError before any trial runs.
     """
+    for e in spec.es:
+        for mu in spec.mus:
+            for name in spec.strategies:
+                build_strategy(name, e, mu=mu)
     rows: list[AggregateRow] = []
     for n in spec.ns:
         for e in spec.es:

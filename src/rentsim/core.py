@@ -44,6 +44,14 @@ CSV_HEADER = ["id", "size", "arrival", "departure"]
 # the event kinds; depart/release happen strictly before arrive/place/close
 # within a time step
 EVENT_PHASE = {"depart": 0, "release": 0, "arrive": 1, "place": 1, "close": 1}
+# the ids an event of each kind must carry: (job id, server id)
+EVENT_IDS = {
+    "arrive": (True, False),
+    "place": (True, True),
+    "close": (False, True),
+    "depart": (True, True),
+    "release": (False, True),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,6 +359,7 @@ def read_sequence_csv(path) -> JobSequence:
     """
     capacity: int | None = None
     rows: list[Job] = []
+    job_line: dict[int, int] = {}  # job id -> line number
     header_seen = False
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -367,6 +376,10 @@ def read_sequence_csv(path) -> JobSequence:
                         raise ValueError(
                             f"line {lineno}: capacity {value!r} is not an integer"
                         ) from None
+                    try:
+                        CapacityConfig(capacity)
+                    except ValueError as exc:
+                        raise ValueError(f"line {lineno}: {exc}") from None
                 continue
             fields = next(csv.reader([line]))
             if not header_seen:
@@ -381,11 +394,24 @@ def read_sequence_csv(path) -> JobSequence:
                     f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(fields)}"
                 )
             try:
-                rows.append(Job(*(int(v) for v in fields)))
+                job = Job(*(int(v) for v in fields))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            if job.id in job_line:
+                raise ValueError(
+                    f"line {lineno}: duplicate job id {job.id} (first on line "
+                    f"{job_line[job.id]})"
+                )
+            job_line[job.id] = lineno
+            rows.append(job)
     if not header_seen:
         raise ValueError("missing header line")
     if capacity is None:
         raise ValueError("missing '# capacity=E' line")
+    for job in rows:  # the capacity line may follow the rows
+        if job.size > capacity:
+            raise ValueError(
+                f"line {job_line[job.id]}: job {job.id}: size {job.size} "
+                f"exceeds capacity {capacity}"
+            )
     return JobSequence(rows, CapacityConfig(capacity))

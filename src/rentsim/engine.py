@@ -6,6 +6,13 @@ strategy only ever sees :class:`ArrivalView` values, which carry no
 departure or length information, so the online restriction is impossible
 to violate by construction.  Departures reach strategies only indirectly,
 as level changes of (or the disappearance of) servers in later views.
+
+Views are kept per server change, not built per arrival: the engine holds
+one :class:`ServerView` per placeable server and replaces it only when that
+server receives a job, loses a job while it stays open, or is closed or
+released.  An arrival's view is a copy of that table, and a step's releases
+come from the departures that empty a server, so no step scans every live
+server.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from typing import Hashable, Protocol
 
 from .core import (
-    EVENT_PHASE,
+    EVENT_IDS,
     Event,
     Job,
     JobSequence,
@@ -120,14 +127,16 @@ class RunResult:
 
 
 class _LiveServer:
-    __slots__ = ("id", "opened_at", "closed_at", "level", "resident", "jobs", "tag")
+    __slots__ = ("id", "opened_at", "closed_at", "released_at", "level", "resident",
+                 "jobs", "tag")
 
     def __init__(self, sid: int, opened_at: int):
         self.id = sid
         self.opened_at = opened_at
         self.closed_at: int | None = None
+        self.released_at: int | None = None
         self.level = 0
-        self.resident: set[int] = set()
+        self.resident = 0  # number of jobs on the server
         self.jobs: list[int] = []
         self.tag: Hashable = None
 
@@ -148,48 +157,46 @@ def simulate(
     decision silently.
     """
     e = seq.capacity.e
-    position = {job.id: idx for idx, job in enumerate(seq.jobs)}
+    # filled in seq.jobs order, so each step's departures are in position order
     arrivals_at: dict[int, list[Job]] = {}
     departures_at: dict[int, list[Job]] = {}
     for job in seq.jobs:
         arrivals_at.setdefault(job.arrival, []).append(job)
         departures_at.setdefault(job.departure, []).append(job)
 
-    live: dict[int, _LiveServer] = {}  # insertion order == opening order
-    finished: list[_LiveServer] = []
-    released_at: dict[int, int] = {}
+    opened: list[_LiveServer] = []  # every server, in id order
+    live: dict[int, _LiveServer] = {}
+    # placeable servers only; insertion order == opening order, and replacing
+    # an entry keeps its place
+    views: dict[int, ServerView] = {}
     assignments: dict[int, int] = {}
     events: list[Event] = []
-    next_id = 1
 
-    def emit(t: int, kind: str, job_id: int | None, server_id: int | None) -> None:
-        if record_events:
-            events.append(Event(t, kind, job_id, server_id))
-
-    for t in sorted(set(arrivals_at) | set(departures_at)):
-        for job in sorted(departures_at.get(t, ()), key=lambda j: position[j.id]):
+    for t in sorted(arrivals_at.keys() | departures_at.keys()):
+        emptied: list[int] = []
+        for job in departures_at.get(t, ()):
             srv = live[assignments[job.id]]
-            srv.resident.discard(job.id)
             srv.level -= job.size
-            emit(t, "depart", job.id, srv.id)
-        for sid in [sid for sid, srv in live.items() if not srv.resident]:
-            released_at[sid] = t
-            emit(t, "release", None, sid)
-            finished.append(live.pop(sid))
+            srv.resident -= 1
+            if record_events:
+                events.append(Event(t, "depart", job.id, srv.id))
+            if not srv.resident:
+                emptied.append(srv.id)
+            elif srv.closed_at is None:
+                views[srv.id] = ServerView(srv.id, srv.level, srv.tag)
+        for sid in sorted(emptied):  # ids ascend in opening order
+            srv = live.pop(sid)
+            srv.released_at = t
+            views.pop(sid, None)
+            if record_events:
+                events.append(Event(t, "release", None, sid))
 
         for job in arrivals_at.get(t, ()):
-            emit(t, "arrive", job.id, None)
-            view = ArrivalView(
-                job_id=job.id,
-                size=job.size,
-                time=t,
-                servers=tuple(
-                    ServerView(s.id, s.level, s.tag)
-                    for s in live.values()
-                    if s.closed_at is None
-                ),
+            if record_events:
+                events.append(Event(t, "arrive", job.id, None))
+            decision = strategy.place(
+                ArrivalView(job.id, job.size, t, tuple(views.values()))
             )
-            decision = strategy.place(view)
             for cid in decision.close:
                 target = live.get(cid)
                 if target is None or target.closed_at is not None:
@@ -200,11 +207,13 @@ def simulate(
                         decision=decision,
                     )
                 target.closed_at = t
-                emit(t, "close", None, cid)
+                del views[cid]
+                if record_events:
+                    events.append(Event(t, "close", None, cid))
             if decision.place_in is None:
-                srv = _LiveServer(next_id, t)
-                live[next_id] = srv
-                next_id += 1
+                srv = _LiveServer(len(opened) + 1, t)
+                opened.append(srv)
+                live[srv.id] = srv
             else:
                 srv = live.get(decision.place_in)  # type: ignore[assignment]
                 if srv is None or srv.closed_at is not None:
@@ -222,12 +231,14 @@ def simulate(
                         decision=decision,
                     )
             srv.level += job.size
-            srv.resident.add(job.id)
+            srv.resident += 1
             srv.jobs.append(job.id)
             if decision.tag is not None:
                 srv.tag = decision.tag
+            views[srv.id] = ServerView(srv.id, srv.level, srv.tag)
             assignments[job.id] = srv.id
-            emit(t, "place", job.id, srv.id)
+            if record_events:
+                events.append(Event(t, "place", job.id, srv.id))
 
     assert not live, "all servers must be released once every job has departed"
 
@@ -235,11 +246,11 @@ def simulate(
         ServerRecord(
             id=srv.id,
             opened_at=srv.opened_at,
-            released_at=released_at[srv.id],
+            released_at=srv.released_at,
             closed_at=srv.closed_at,
             jobs=tuple(srv.jobs),
         )
-        for srv in sorted(finished, key=lambda s: s.id)
+        for srv in opened
     )
     trace = PlacementTrace(
         sequence=seq,
@@ -283,8 +294,9 @@ def write_event_csv(events, path) -> None:
 def read_event_csv(path) -> tuple[Event, ...]:
     """Read an event log written by :func:`write_event_csv`.
 
-    A row with an unknown kind, a field count other than four, or a
-    non-integer number raises ValueError naming its line number.
+    A row with an unknown kind, a field count other than four, a missing
+    id its kind requires (``EVENT_IDS``), or a non-integer number raises
+    ValueError naming its line number.
     """
     events: list[Event] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -301,8 +313,14 @@ def read_event_csv(path) -> tuple[Event, ...]:
                     f"got {len(row)}"
                 )
             t, kind, job_id, server_id = row
-            if kind not in EVENT_PHASE:
+            required = EVENT_IDS.get(kind)
+            if required is None:
                 raise ValueError(f"line {reader.line_num}: unknown event kind {kind!r}")
+            if required[0] and not job_id or required[1] and not server_id:
+                missing = "job" if required[0] and not job_id else "server"
+                raise ValueError(
+                    f"line {reader.line_num}: {kind} event without a {missing} id"
+                )
             try:
                 events.append(
                     Event(

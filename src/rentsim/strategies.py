@@ -7,8 +7,8 @@ trivially resettable and makes it structurally impossible for them to
 remember departure times.
 
 Size thresholds (Modified Next Fit, Modified First Fit, Harmonic classes)
-are compared on exact rationals; with integer sizes this reduces to
-integer arithmetic, so no placement ever hinges on float rounding.
+are exact: with integer sizes and a rational K each reduces to an integer
+comparison, so no placement ever hinges on float rounding.
 """
 
 from __future__ import annotations
@@ -135,10 +135,11 @@ class ModifiedNextFit(_Base):
         super().__init__(e)
         self.k = _checked_k("mnf", k)
         self.name = f"mnf:{self.k}"
+        self._small_below = self.e * self.k.denominator  # size < E/K
 
     def place(self, view: ArrivalView) -> Decision:
-        stream = "small" if view.size * self.k < self.e else "large"
-        return _next_fit_stream(view, self.e, stream)
+        small = view.size * self.k.numerator < self._small_below
+        return _next_fit_stream(view, self.e, "small" if small else "large")
 
 
 class FirstFit(_Base):
@@ -160,9 +161,11 @@ class ModifiedFirstFit(_Base):
         super().__init__(e)
         self.k = _checked_k("mff", k)
         self.name = f"mff:{self.k}"
+        self._small_below = self.e * self.k.denominator  # size < E/K
 
     def place(self, view: ArrivalView) -> Decision:
-        stream = "small" if view.size * self.k < self.e else "large"
+        small = view.size * self.k.numerator < self._small_below
+        stream = "small" if small else "large"
         for srv in view.servers:
             if srv.tag == stream and srv.level + view.size <= self.e:
                 return Decision(place_in=srv.id)
@@ -175,11 +178,14 @@ class BestFit(_Base):
     name = "bf"
 
     def place(self, view: ArrivalView) -> Decision:
-        # stable sort: view order is opening order, which settles level ties
-        for srv in sorted(view.servers, key=lambda s: -s.level):
-            if srv.level + view.size <= self.e:
-                return Decision(place_in=srv.id)
-        return Decision(place_in=None)
+        room = self.e - view.size
+        best = None
+        best_level = -1
+        for srv in view.servers:  # opening order; strict > keeps the earlier on ties
+            if best_level < srv.level <= room:
+                best = srv.id
+                best_level = srv.level
+        return Decision(place_in=best)
 
 
 class Harmonic(_Base):
@@ -212,11 +218,18 @@ class MoveToFront(_Base):
     name = "mtf"
 
     def place(self, view: ArrivalView) -> Decision:
-        stamp = max((s.tag for s in view.servers), default=0) + 1
-        for srv in sorted(view.servers, key=lambda s: -s.tag):
-            if srv.level + view.size <= self.e:
-                return Decision(place_in=srv.id, tag=stamp)
-        return Decision(place_in=None, tag=stamp)
+        room = self.e - view.size
+        newest = 0  # stamps start at 1
+        best = None
+        best_tag = 0
+        for srv in view.servers:  # strict > keeps the earlier server on equal tags
+            tag = srv.tag
+            if tag > newest:
+                newest = tag
+            if tag > best_tag and srv.level <= room:
+                best = srv.id
+                best_tag = tag
+        return Decision(place_in=best, tag=newest + 1)
 
 
 class _Kind(NamedTuple):

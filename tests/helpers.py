@@ -3,7 +3,8 @@
 The replay oracles re-derive placement targets from first principles
 (walking the event log and keeping independent occupancy state) so that
 engine and strategy behaviour is checked against something other than
-itself.
+itself.  ``reference_simulate`` is the plain engine loop that the
+incremental one in ``rentsim.engine`` is compared with, trace for trace.
 """
 
 from __future__ import annotations
@@ -12,7 +13,18 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from rentsim import CapacityConfig, Job, JobSequence
+from rentsim import (
+    ArrivalView,
+    CapacityConfig,
+    InfeasiblePlacementError,
+    Job,
+    JobSequence,
+    PlacementTrace,
+    RunResult,
+    ServerRecord,
+    ServerView,
+)
+from rentsim.core import Event
 
 
 @st.composite
@@ -28,9 +40,131 @@ def job_sequences(draw, max_jobs=10, max_e=12, max_time=15, max_length=6, min_jo
     return JobSequence(jobs, CapacityConfig(e))
 
 
+# seeds of the acceptance battery: BATTERY_SEED + mu * 10_000 + instance index
+BATTERY_SEED = 1_000_000
+
+
 def all_strategy_specs(mu: int) -> list[str]:
     """Every selection string, with the mu-dependent parameters filled in."""
     return ["nf", f"mnf:{mu + 1}", "ff", f"mff:{mu + 7}", "bf", "harmonic:10", "mtf"]
+
+
+class _ReferenceServer:
+    def __init__(self, sid: int, opened_at: int):
+        self.id = sid
+        self.opened_at = opened_at
+        self.closed_at = None
+        self.level = 0
+        self.resident: set[int] = set()
+        self.jobs: list[int] = []
+        self.tag = None
+
+
+def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True):
+    """Differential oracle for ``rentsim.simulate``: the straightforward loop.
+
+    Every arrival builds a fresh view of every placeable server, every step
+    scans all live servers for empty ones, and each server keeps the set of
+    its resident job ids.  Same contract and output as ``simulate``.
+    """
+    e = seq.capacity.e
+    position = {job.id: idx for idx, job in enumerate(seq.jobs)}
+    arrivals_at: dict[int, list[Job]] = {}
+    departures_at: dict[int, list[Job]] = {}
+    for job in seq.jobs:
+        arrivals_at.setdefault(job.arrival, []).append(job)
+        departures_at.setdefault(job.departure, []).append(job)
+
+    live: dict[int, _ReferenceServer] = {}  # insertion order == opening order
+    finished: list[_ReferenceServer] = []
+    released_at: dict[int, int] = {}
+    assignments: dict[int, int] = {}
+    events: list[Event] = []
+    next_id = 1
+
+    def emit(t, kind, job_id, server_id):
+        if record_events:
+            events.append(Event(t, kind, job_id, server_id))
+
+    def infeasible(message, t, job, decision):
+        return InfeasiblePlacementError(message, time=t, job_id=job.id, decision=decision)
+
+    for t in sorted(set(arrivals_at) | set(departures_at)):
+        for job in sorted(departures_at.get(t, ()), key=lambda j: position[j.id]):
+            srv = live[assignments[job.id]]
+            srv.resident.discard(job.id)
+            srv.level -= job.size
+            emit(t, "depart", job.id, srv.id)
+        for sid in [sid for sid, srv in live.items() if not srv.resident]:
+            released_at[sid] = t
+            emit(t, "release", None, sid)
+            finished.append(live.pop(sid))
+
+        for job in arrivals_at.get(t, ()):
+            emit(t, "arrive", job.id, None)
+            view = ArrivalView(
+                job_id=job.id,
+                size=job.size,
+                time=t,
+                servers=tuple(
+                    ServerView(s.id, s.level, s.tag)
+                    for s in live.values()
+                    if s.closed_at is None
+                ),
+            )
+            decision = strategy.place(view)
+            for cid in decision.close:
+                target = live.get(cid)
+                if target is None or target.closed_at is not None:
+                    raise infeasible(f"close of unknown or already closed server {cid}",
+                                     t, job, decision)
+                target.closed_at = t
+                emit(t, "close", None, cid)
+            if decision.place_in is None:
+                srv = _ReferenceServer(next_id, t)
+                live[next_id] = srv
+                next_id += 1
+            else:
+                srv = live.get(decision.place_in)
+                if srv is None or srv.closed_at is not None:
+                    raise infeasible(
+                        f"target server {decision.place_in} is not open for placement",
+                        t, job, decision)
+                if srv.level + job.size > e:
+                    raise infeasible(
+                        f"server {srv.id} at level {srv.level} cannot take size {job.size}",
+                        t, job, decision)
+            srv.level += job.size
+            srv.resident.add(job.id)
+            srv.jobs.append(job.id)
+            if decision.tag is not None:
+                srv.tag = decision.tag
+            assignments[job.id] = srv.id
+            emit(t, "place", job.id, srv.id)
+
+    assert not live, "all servers must be released once every job has departed"
+
+    records = tuple(
+        ServerRecord(
+            id=srv.id,
+            opened_at=srv.opened_at,
+            released_at=released_at[srv.id],
+            closed_at=srv.closed_at,
+            jobs=tuple(srv.jobs),
+        )
+        for srv in sorted(finished, key=lambda s: s.id)
+    )
+    trace = PlacementTrace(
+        sequence=seq, assignments=assignments, servers=records, events=tuple(events)
+    )
+    return RunResult(
+        strategy=strategy.name,
+        total_cost=sum(r.stretch for r in records),
+        trace=trace,
+        per_server=tuple((r.id, r.stretch, r.closed_period) for r in records),
+        servers_opened=len(records),
+        critical_count=sum(1 for r in records if r.closed_period > 0),
+    )
 
 
 class ReplayState:

@@ -39,14 +39,13 @@ from rentsim.bench import ExperimentSpec, run_experiment
 from rentsim.cli import main as cli_main
 from rentsim.strategies import ModifiedNextFit, MoveToFront, NextFit
 
-from helpers import all_strategy_specs, record_verdict as _verdict
+from helpers import BATTERY_SEED, all_strategy_specs, record_verdict as _verdict
 
 BATTERY_MUS = (2, 10, 100)
 BATTERY_COUNT = 1000
 BATTERY_N = 1000
 BATTERY_E = 1000
 BATTERY_T = 1000
-BATTERY_SEED = 1_000_000
 CAPPED_SEED = 2_000_000
 DESK_SEED_BASE = 1
 

@@ -185,6 +185,26 @@ def test_cli_verify_malformed_event_row_exits_2(tmp_path, capsys, row, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_cli_verify_event_row_without_its_ids_exits_2(tmp_path, capsys):
+    seq_path, ev_path = tmp_path / "ex.csv", tmp_path / "ev.csv"
+    _write_three_job_instance(seq_path)
+    ev_path.write_text("t,kind,job_id,server_id\n0,arrive,1,\n0,place,1,\n",
+                       encoding="utf-8")
+    assert main(["verify", str(seq_path), str(ev_path)]) == 2
+    assert capsys.readouterr().err == "error: line 3: place event without a server id\n"
+
+
+@pytest.mark.parametrize("selection, message", [
+    ("mnf:1", "mnf requires K >= 2, got 1"),
+    ("harmonic:2.5", "harmonic requires integer K >= 1, got 5/2"),
+])
+def test_cli_bench_bad_selection_exits_2(capsys, selection, message):
+    argv = ["bench", "--strategies", f"nf,{selection}", "--n", "10", "--e", "10",
+            "--t", "10", "--mu", "2", "--trials", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["run"])  # missing positionals

@@ -192,6 +192,12 @@ def test_sequence_csv_requires_capacity_and_header(tmp_path):
         (header + "1,1,0,1\n\n2,1,0,1,9\n", "line 5: expected 4 fields, got 5"),
         (header + "1,1,0\n", "line 3: expected 4 fields, got 3"),
         (header + "1,1,3,2\n", "line 3: job 1: departure 2 must exceed arrival 3"),
+        (header + "1,1,0,1\n2,1,0,1\n1,2,0,1\n",
+         "line 5: duplicate job id 1 (first on line 3)"),
+        (header + "1,1,0,1\n2,6,0,1\n", "line 4: job 2: size 6 exceeds capacity 5"),
+        ("id,size,arrival,departure\n1,6,0,1\n# capacity=5\n",
+         "line 2: job 1: size 6 exceeds capacity 5"),
+        ("# capacity=0\nid,size,arrival,departure\n", "line 1: capacity must be >= 1, got 0"),
     ]:
         bad = tmp_path / "c.csv"
         bad.write_text(body, encoding="utf-8")

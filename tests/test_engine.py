@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -13,7 +14,10 @@ from rentsim import (
     Job,
     JobSequence,
     ServerView,
+    UniformParams,
+    build_strategy,
     compute_stats,
+    gen_uniform,
     reset,
     simulate,
     validate_trace,
@@ -21,7 +25,7 @@ from rentsim import (
 from rentsim.engine import read_event_csv, trace_from_events, write_event_csv
 from rentsim.strategies import BestFit, FirstFit, MoveToFront, NextFit
 
-from helpers import job_sequences
+from helpers import BATTERY_SEED, all_strategy_specs, job_sequences, reference_simulate
 
 
 class SpyStrategy:
@@ -144,6 +148,83 @@ def test_view_levels_reflect_departures():
     last_view = spy.views[-1]
     assert last_view.time == 4
     assert [s.level for s in last_view.servers] == [2]  # job 1 already gone
+
+
+def test_simultaneous_releases_come_in_opening_order():
+    # at t=5 job 2 (server 2) departs before job 3 (server 1) in input
+    # order, yet server 1 was opened first and is released first
+    seq = JobSequence(
+        [Job(1, 6, 0, 3), Job(2, 6, 1, 5), Job(3, 3, 2, 5)], CapacityConfig(10)
+    )
+    result = simulate(FirstFit(10), seq)
+    assert [(e.kind, e.job_id, e.server_id) for e in result.trace.events if e.t == 5] == [
+        ("depart", 2, 2), ("depart", 3, 1), ("release", None, 1), ("release", None, 2),
+    ]
+
+
+def test_views_follow_server_changes_in_opening_order():
+    # First Fit: server 1 drops from 9 to 6 at t=4 and keeps its place
+    # ahead of server 2 in the next view
+    seq = JobSequence(
+        [Job(1, 6, 0, 9), Job(2, 6, 1, 9), Job(3, 3, 2, 4), Job(4, 1, 4, 9)],
+        CapacityConfig(10),
+    )
+    spy = SpyStrategy(FirstFit(10))
+    simulate(spy, seq)
+    assert [(s.id, s.level) for s in spy.views[3].servers] == [(1, 6), (2, 6)]
+    # Next Fit: server 1 is closed at t=2, then loses job 2 at t=3 while
+    # still rented; it never shows up again
+    seq = JobSequence(
+        [Job(1, 6, 0, 9), Job(2, 2, 1, 3), Job(3, 5, 2, 9), Job(4, 1, 4, 9)],
+        CapacityConfig(10),
+    )
+    spy = SpyStrategy(NextFit(10))
+    result = simulate(spy, seq)
+    assert result.trace.servers[0].closed_at == 2
+    assert [(s.id, s.level) for s in spy.views[3].servers] == [(2, 5)]
+
+
+@given(job_sequences(max_jobs=8))
+def test_closed_or_released_servers_never_reappear(seq):
+    for spec in ("nf", "mnf:3", "harmonic:3"):
+        spy = SpyStrategy(build_strategy(spec, seq.capacity.e))
+        result = simulate(spy, seq)
+        views = iter(spy.views)
+        gone: set[int] = set()
+        for ev in result.trace.events:
+            if ev.kind in ("close", "release"):
+                gone.add(ev.server_id)
+            elif ev.kind == "arrive":
+                assert not gone & {s.id for s in next(views).servers}
+
+
+def _assert_same_run(spec, e, seq, record_events=True):
+    spy, ref_spy = (SpyStrategy(build_strategy(spec, e)) for _ in range(2))
+    result = simulate(spy, seq, record_events=record_events)
+    expected = reference_simulate(ref_spy, seq, record_events=record_events)
+    assert spy.views == ref_spy.views, spec
+    assert result.trace.events == expected.trace.events, spec
+    assert result.trace.servers == expected.trace.servers, spec
+    assert result.trace.assignments == expected.trace.assignments, spec
+    assert result.per_server == expected.per_server, spec
+    assert result.total_cost == expected.total_cost, spec
+    assert result.critical_count == expected.critical_count, spec
+    assert result == expected, spec
+
+
+@given(job_sequences(max_jobs=24, max_time=10), st.integers(1, 6), st.booleans())
+def test_simulate_matches_reference_loop(seq, mu, record_events):
+    for spec in all_strategy_specs(mu):
+        _assert_same_run(spec, seq.capacity.e, seq, record_events)
+
+
+@pytest.mark.parametrize("mu", [2, 10, 100])
+@pytest.mark.parametrize("i", [0, 1])
+def test_simulate_matches_reference_loop_on_battery_seeds(mu, i):
+    seq = gen_uniform(UniformParams(n=1000, e=1000, t=1000, mu=mu,
+                                    seed=BATTERY_SEED + mu * 10_000 + i))
+    for spec in all_strategy_specs(mu):
+        _assert_same_run(spec, 1000, seq)
 
 
 class _BadTarget:
