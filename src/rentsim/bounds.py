@@ -12,6 +12,7 @@ asserted where OPT itself is computable (the tiny-instance oracle).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .core import (
     SequenceStats,
     compute_stats,
     fraction_json,
+    frozen_record,
     merge_intervals,
     union_measure,
 )
@@ -41,7 +43,7 @@ __all__ = [
 ORACLE_DEFAULT_LIMIT = 8
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class BoundEntry:
     """One checked inequality between a formula value and a measured cost."""
 
@@ -216,23 +218,29 @@ def check_mtf_bound(result: RunResult, stats: SequenceStats) -> BoundEntry:
     Per segment: cost <= 6(mu+1) * util + span + 3(mu+1) * delta, with mu
     and delta taken over the whole sequence (they bound every job length).
     Servers never outlive a segment, so segment costs are well-defined.
+    Jobs and servers are assigned to segments by bisecting the segment
+    starts once; a server opened outside every segment counts nowhere.
     """
     _require(result, "mtf", "check_mtf_bound")
     seq = result.trace.sequence
     e = seq.capacity.e
     mu1 = stats.mu + 1
+    segments = merge_intervals((j.arrival, j.departure) for j in seq.jobs)
+    starts = [start for start, _ in segments]
+    seg_work = [0] * len(segments)  # sum of size * length per segment
+    seg_cost = [0] * len(segments)
+    for j in seq.jobs:  # a job's arrival always lies in its own segment
+        seg_work[bisect_right(starts, j.arrival) - 1] += j.size * (j.departure - j.arrival)
+    for srv in result.trace.servers:
+        i = bisect_right(starts, srv.opened_at) - 1
+        if i >= 0 and srv.opened_at < segments[i][1]:
+            seg_cost[i] += srv.released_at - srv.opened_at
     satisfied = True
     total_formula = Fraction(0)
-    for start, end in merge_intervals((j.arrival, j.departure) for j in seq.jobs):
-        seg_jobs = [j for j in seq.jobs if start <= j.arrival < end]
-        seg_util = Fraction(sum(j.size * j.length for j in seg_jobs), e)
-        seg_span = end - start
-        seg_cost = sum(
-            srv.stretch for srv in result.trace.servers if start <= srv.opened_at < end
-        )
-        seg_bound = 6 * mu1 * seg_util + seg_span + 3 * mu1 * stats.delta
+    for (start, end), work, cost in zip(segments, seg_work, seg_cost):
+        seg_bound = 6 * mu1 * Fraction(work, e) + (end - start) + 3 * mu1 * stats.delta
         total_formula += seg_bound
-        if seg_cost > seg_bound:
+        if cost > seg_bound:
             satisfied = False
     return BoundEntry(
         name="mtf_guarantee",

@@ -17,11 +17,16 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import dataclasses
+import inspect
+import sys
+from dataclasses import MISSING, dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 __all__ = [
+    "frozen_record",
     "Job",
     "CapacityConfig",
     "JobSequence",
@@ -54,7 +59,65 @@ EVENT_IDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_record(cls):
+    """``dataclass(frozen=True, slots=True)``, its ``__init__`` storing through the slots.
+
+    The ``__init__`` that dataclasses generates for a frozen class stores each
+    field with ``object.__setattr__``; this one calls each slot descriptor's
+    ``__set__`` instead, which is cheaper and equally bypasses the frozen
+    ``__setattr__``.  Signature, defaults and the ``__post_init__`` call are
+    those of the dataclass ``__init__``; fields, eq, hash, repr, pickling and
+    ``FrozenInstanceError`` on assignment are untouched.  A field this
+    ``__init__`` cannot honour (a ``default_factory``, ``init=False`` or an
+    ``InitVar``) raises TypeError.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    fields = dataclasses.fields(cls)
+    for f in fields:
+        if f.default_factory is not MISSING or not f.init:
+            raise TypeError(
+                f"frozen_record {cls.__name__}.{f.name}: "
+                "default_factory and init=False are not supported"
+            )
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    if [p.name for p in params] != [f.name for f in fields]:
+        raise TypeError(
+            f"frozen_record {cls.__name__}: __init__ parameters must be its fields "
+            "in order (InitVar is not supported)"
+        )
+    # generated as dataclasses does: exec'd source, with closure cells for
+    # the slot setters and the defaults
+    closure: dict[str, object] = {}
+    args: list[str] = []
+    body: list[str] = []
+    for p in params:
+        if p.kind is p.KEYWORD_ONLY and "*" not in args:
+            args.append("*")
+        if p.default is p.empty:
+            args.append(p.name)
+        else:
+            closure[f"_dflt_{p.name}"] = p.default
+            args.append(f"{p.name}=_dflt_{p.name}")
+        closure[f"_set_{p.name}"] = cls.__dict__[p.name].__set__
+        body.append(f"  _set_{p.name}(self, {p.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("  self.__post_init__()")
+    txt = (
+        f"def __create_fn__({', '.join(closure)}):\n"
+        f" def __init__({', '.join(['self', *args])}):\n"
+        + "\n".join(body or ["  pass"])
+        + "\n return __init__"
+    )
+    ns: dict[str, object] = {}
+    exec(txt, sys.modules[cls.__module__].__dict__, ns)
+    init = ns["__create_fn__"](**closure)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = dict(cls.__init__.__annotations__)
+    cls.__init__ = init
+    return cls
+
+
+@frozen_record
 class Job:
     """One demand: occupies ``size`` capacity units during [arrival, departure)."""
 
@@ -81,7 +144,7 @@ class Job:
         return self.arrival <= t < self.departure
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class CapacityConfig:
     """Uniform server capacity in integer units."""
 
@@ -117,6 +180,23 @@ class JobSequence:
         object.__setattr__(self, "jobs", ordered)
         object.__setattr__(self, "capacity", capacity)
 
+    @cached_property
+    def timeline(self) -> tuple[tuple[int, tuple[Job, ...], tuple[Job, ...]], ...]:
+        """``(t, departures, arrivals)`` for every step with an event, in time order.
+
+        Both tuples list jobs in sequence order.  Computed once per sequence,
+        so every run over it shares one schedule.
+        """
+        arrivals_at: dict[int, list[Job]] = {}
+        departures_at: dict[int, list[Job]] = {}
+        for job in self.jobs:
+            arrivals_at.setdefault(job.arrival, []).append(job)
+            departures_at.setdefault(job.departure, []).append(job)
+        return tuple(
+            (t, tuple(departures_at.get(t, ())), tuple(arrivals_at.get(t, ())))
+            for t in sorted(arrivals_at.keys() | departures_at.keys())
+        )
+
     def __len__(self) -> int:
         return len(self.jobs)
 
@@ -124,7 +204,7 @@ class JobSequence:
         return iter(self.jobs)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SequenceStats:
     """Derived statistics of a sequence; the lower bounds and bound-formula inputs.
 
@@ -187,7 +267,7 @@ def compute_stats(seq: JobSequence) -> SequenceStats:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ServerRecord:
     """One rented server: open interval, optional close mark, and its jobs.
 
@@ -214,7 +294,7 @@ class ServerRecord:
         return self.released_at - self.closed_at
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Event:
     """One simulation event; kind is arrive, place, close, depart or release."""
 
@@ -234,7 +314,7 @@ class PlacementTrace:
     events: tuple[Event, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Violation:
     """One broken invariant, naming what failed, when, and which ids."""
 
@@ -298,6 +378,38 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
         if not members:
             violations.append(Violation("empty-server", server_id=srv.id))
             continue
+        # in arrival order, a job arriving once every earlier job has departed
+        # lands in a server that was empty (departures precede arrivals within
+        # a step) and so should have been released; a job arriving after the
+        # close went into a closed server (receiving a job and being closed in
+        # one step is allowed)
+        members.sort(key=lambda job: job.arrival)
+        latest_departure = members[0].departure
+        for job in members[1:]:
+            if job.arrival >= latest_departure:
+                violations.append(
+                    Violation(
+                        "server-empty-before-release",
+                        time=job.arrival,
+                        job_id=job.id,
+                        server_id=srv.id,
+                        detail=f"empty since {latest_departure}",
+                    )
+                )
+                break
+            latest_departure = max(latest_departure, job.departure)
+        if srv.closed_at is not None:
+            for job in members:
+                if job.arrival > srv.closed_at:
+                    violations.append(
+                        Violation(
+                            "placement-after-close",
+                            time=job.arrival,
+                            job_id=job.id,
+                            server_id=srv.id,
+                            detail=f"closed at {srv.closed_at}",
+                        )
+                    )
         # load only increases at arrivals, so checking there suffices;
         # report the first offending time per server
         for t in sorted({job.arrival for job in members}):

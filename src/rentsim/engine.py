@@ -13,6 +13,12 @@ server receives a job, loses a job while it stays open, or is closed or
 released.  An arrival's view is a copy of that table, and a step's releases
 come from the departures that empty a server, so no step scans every live
 server.
+
+The per-job cost is kept to few, cheap objects: the step schedule is the
+sequence's cached :attr:`~rentsim.core.JobSequence.timeline`, shared by every
+run over it; views, decisions and records are ``frozen_record`` values built
+positionally; and the result (records, per-server triples, cost, critical
+count) is assembled in one pass over the servers.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ from typing import Hashable, Protocol
 from .core import (
     EVENT_IDS,
     Event,
-    Job,
     JobSequence,
     PlacementTrace,
     ServerRecord,
+    frozen_record,
 )
 
 __all__ = [
@@ -47,7 +53,7 @@ __all__ = [
 EVENT_HEADER = ["t", "kind", "job_id", "server_id"]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ServerView:
     """What a strategy may know about one open server.
 
@@ -61,7 +67,7 @@ class ServerView:
     tag: Hashable = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ArrivalView:
     """The arriving job and the current placeable servers, in opening order.
 
@@ -75,7 +81,7 @@ class ArrivalView:
     servers: tuple[ServerView, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Decision:
     """Strategy output: place into an open server, or open a new one.
 
@@ -157,13 +163,10 @@ def simulate(
     decision silently.
     """
     e = seq.capacity.e
-    # filled in seq.jobs order, so each step's departures are in position order
-    arrivals_at: dict[int, list[Job]] = {}
-    departures_at: dict[int, list[Job]] = {}
-    for job in seq.jobs:
-        arrivals_at.setdefault(job.arrival, []).append(job)
-        departures_at.setdefault(job.departure, []).append(job)
-
+    place = strategy.place
+    # module names used per job, bound once
+    new_server, server_view, arrival_view, event = (
+        _LiveServer, ServerView, ArrivalView, Event)
     opened: list[_LiveServer] = []  # every server, in id order
     live: dict[int, _LiveServer] = {}
     # placeable servers only; insertion order == opening order, and replacing
@@ -172,31 +175,31 @@ def simulate(
     assignments: dict[int, int] = {}
     events: list[Event] = []
 
-    for t in sorted(arrivals_at.keys() | departures_at.keys()):
-        emptied: list[int] = []
-        for job in departures_at.get(t, ()):
-            srv = live[assignments[job.id]]
-            srv.level -= job.size
-            srv.resident -= 1
-            if record_events:
-                events.append(Event(t, "depart", job.id, srv.id))
-            if not srv.resident:
-                emptied.append(srv.id)
-            elif srv.closed_at is None:
-                views[srv.id] = ServerView(srv.id, srv.level, srv.tag)
-        for sid in sorted(emptied):  # ids ascend in opening order
-            srv = live.pop(sid)
-            srv.released_at = t
-            views.pop(sid, None)
-            if record_events:
-                events.append(Event(t, "release", None, sid))
+    for t, departures, arrivals in seq.timeline:
+        if departures:
+            emptied: list[int] = []
+            for job in departures:
+                srv = live[assignments[job.id]]
+                srv.level -= job.size
+                srv.resident -= 1
+                if record_events:
+                    events.append(event(t, "depart", job.id, srv.id))
+                if not srv.resident:
+                    emptied.append(srv.id)
+                elif srv.closed_at is None:
+                    views[srv.id] = server_view(srv.id, srv.level, srv.tag)
+            if len(emptied) > 1:
+                emptied.sort()  # ids ascend in opening order
+            for sid in emptied:
+                live.pop(sid).released_at = t
+                views.pop(sid, None)
+                if record_events:
+                    events.append(event(t, "release", None, sid))
 
-        for job in arrivals_at.get(t, ()):
+        for job in arrivals:
             if record_events:
-                events.append(Event(t, "arrive", job.id, None))
-            decision = strategy.place(
-                ArrivalView(job.id, job.size, t, tuple(views.values()))
-            )
+                events.append(event(t, "arrive", job.id, None))
+            decision = place(arrival_view(job.id, job.size, t, tuple(views.values())))
             for cid in decision.close:
                 target = live.get(cid)
                 if target is None or target.closed_at is not None:
@@ -209,9 +212,9 @@ def simulate(
                 target.closed_at = t
                 del views[cid]
                 if record_events:
-                    events.append(Event(t, "close", None, cid))
+                    events.append(event(t, "close", None, cid))
             if decision.place_in is None:
-                srv = _LiveServer(len(opened) + 1, t)
+                srv = new_server(len(opened) + 1, t)
                 opened.append(srv)
                 live[srv.id] = srv
             else:
@@ -235,37 +238,44 @@ def simulate(
             srv.jobs.append(job.id)
             if decision.tag is not None:
                 srv.tag = decision.tag
-            views[srv.id] = ServerView(srv.id, srv.level, srv.tag)
+            views[srv.id] = server_view(srv.id, srv.level, srv.tag)
             assignments[job.id] = srv.id
             if record_events:
-                events.append(Event(t, "place", job.id, srv.id))
+                events.append(event(t, "place", job.id, srv.id))
 
     assert not live, "all servers must be released once every job has departed"
 
-    records = tuple(
-        ServerRecord(
-            id=srv.id,
-            opened_at=srv.opened_at,
-            released_at=srv.released_at,
-            closed_at=srv.closed_at,
-            jobs=tuple(srv.jobs),
-        )
-        for srv in opened
-    )
+    # records, per-server triples, cost and critical count in one pass
+    records: list[ServerRecord] = []
+    per_server: list[tuple[int, int, int]] = []
+    total_cost = critical_count = 0
+    for srv in opened:
+        sid, opened_at, released_at, closed_at = (
+            srv.id, srv.opened_at, srv.released_at, srv.closed_at)
+        records.append(
+            ServerRecord(sid, opened_at, released_at, closed_at, tuple(srv.jobs)))
+        stretch = released_at - opened_at
+        total_cost += stretch
+        if closed_at is None:
+            per_server.append((sid, stretch, 0))
+        else:
+            closed_period = released_at - closed_at
+            per_server.append((sid, stretch, closed_period))
+            if closed_period > 0:
+                critical_count += 1
     trace = PlacementTrace(
         sequence=seq,
         assignments=assignments,
-        servers=records,
+        servers=tuple(records),
         events=tuple(events),
     )
-    per_server = tuple((r.id, r.stretch, r.closed_period) for r in records)
     return RunResult(
         strategy=strategy.name,
-        total_cost=sum(r.stretch for r in records),
+        total_cost=total_cost,
         trace=trace,
-        per_server=per_server,
+        per_server=tuple(per_server),
         servers_opened=len(records),
-        critical_count=sum(1 for r in records if r.closed_period > 0),
+        critical_count=critical_count,
     )
 
 

@@ -14,10 +14,9 @@ co-simulates the target on each phase's arrivals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CapacityConfig, Job, JobSequence
+from .core import CapacityConfig, Job, JobSequence, frozen_record
 from .engine import simulate
 from .strategies import build_strategy
 
@@ -58,7 +57,7 @@ class SplitMix64:
                 return lo + (x % n)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class UniformParams:
     """Uniform-random instance parameters.
 
@@ -105,7 +104,7 @@ def gen_uniform(params: UniformParams) -> JobSequence:
     return JobSequence(jobs, CapacityConfig(params.e))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class AdversaryParams:
     """Adversarial phase-construction parameters.
 

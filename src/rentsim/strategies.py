@@ -106,17 +106,20 @@ class _Base:
         """No-op: these strategies keep no state outside the engine's tags."""
 
 
+# the decisions that take no parameter, shared by every call
+_OPEN = Decision()
+_OPEN_STREAM = {stream: Decision(None, (), stream) for stream in ("small", "large")}
+
+
 def _next_fit_stream(view: ArrivalView, e: int, tag) -> Decision:
     """Next Fit over the servers carrying ``tag``: at most one is ever open."""
     stream = [s for s in view.servers if s.tag == tag]
     assert len(stream) <= 1, f"next-fit stream {tag!r} has {len(stream)} open servers"
-    if stream and stream[0].level + view.size <= e:
-        return Decision(place_in=stream[0].id)
-    return Decision(
-        place_in=None,
-        close=tuple(s.id for s in stream),
-        tag=tag,
-    )
+    if stream:
+        if stream[0].level + view.size <= e:
+            return Decision(stream[0].id)
+        return Decision(None, (stream[0].id,), tag)
+    return Decision(None, (), tag)
 
 
 class NextFit(_Base):
@@ -150,8 +153,8 @@ class FirstFit(_Base):
     def place(self, view: ArrivalView) -> Decision:
         for srv in view.servers:
             if srv.level + view.size <= self.e:
-                return Decision(place_in=srv.id)
-        return Decision(place_in=None)
+                return Decision(srv.id)
+        return _OPEN
 
 
 class ModifiedFirstFit(_Base):
@@ -168,8 +171,8 @@ class ModifiedFirstFit(_Base):
         stream = "small" if small else "large"
         for srv in view.servers:
             if srv.tag == stream and srv.level + view.size <= self.e:
-                return Decision(place_in=srv.id)
-        return Decision(place_in=None, tag=stream)
+                return Decision(srv.id)
+        return _OPEN_STREAM[stream]
 
 
 class BestFit(_Base):
@@ -185,7 +188,7 @@ class BestFit(_Base):
             if best_level < srv.level <= room:
                 best = srv.id
                 best_level = srv.level
-        return Decision(place_in=best)
+        return _OPEN if best is None else Decision(best)
 
 
 class Harmonic(_Base):
@@ -229,7 +232,7 @@ class MoveToFront(_Base):
             if tag > best_tag and srv.level <= room:
                 best = srv.id
                 best_tag = tag
-        return Decision(place_in=best, tag=newest + 1)
+        return Decision(best, (), newest + 1)
 
 
 class _Kind(NamedTuple):

@@ -4,7 +4,9 @@ The replay oracles re-derive placement targets from first principles
 (walking the event log and keeping independent occupancy state) so that
 engine and strategy behaviour is checked against something other than
 itself.  ``reference_simulate`` is the plain engine loop that the
-incremental one in ``rentsim.engine`` is compared with, trace for trace.
+incremental one in ``rentsim.engine`` is compared with, trace for trace, and
+``reference_check_mtf_bound`` the per-segment rescan that the one-sweep
+``rentsim.bounds.check_mtf_bound`` is compared with.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from rentsim import (
     ServerRecord,
     ServerView,
 )
-from rentsim.core import Event
+from rentsim.bounds import BoundEntry
+from rentsim.core import Event, merge_intervals
 
 
 @st.composite
@@ -164,6 +167,33 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
         per_server=tuple((r.id, r.stretch, r.closed_period) for r in records),
         servers_opened=len(records),
         critical_count=sum(1 for r in records if r.closed_period > 0),
+    )
+
+
+def reference_check_mtf_bound(result, stats) -> BoundEntry:
+    """Differential oracle for ``check_mtf_bound``: every segment rescans all
+    jobs and all servers.  Same contract and output, for mtf results."""
+    seq = result.trace.sequence
+    e = seq.capacity.e
+    mu1 = stats.mu + 1
+    satisfied = True
+    total_formula = Fraction(0)
+    for start, end in merge_intervals((j.arrival, j.departure) for j in seq.jobs):
+        seg_jobs = [j for j in seq.jobs if start <= j.arrival < end]
+        seg_util = Fraction(sum(j.size * j.length for j in seg_jobs), e)
+        seg_span = end - start
+        seg_cost = sum(
+            srv.stretch for srv in result.trace.servers if start <= srv.opened_at < end
+        )
+        seg_bound = 6 * mu1 * seg_util + seg_span + 3 * mu1 * stats.delta
+        total_formula += seg_bound
+        if seg_cost > seg_bound:
+            satisfied = False
+    return BoundEntry(
+        name="mtf_guarantee",
+        formula_value=total_formula,
+        cost=Fraction(result.total_cost),
+        satisfied=satisfied,
     )
 
 

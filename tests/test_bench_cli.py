@@ -168,6 +168,27 @@ def test_cli_run_events_then_verify_round_trip(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+def test_cli_verify_rejects_a_placement_into_a_closed_server(tmp_path, capsys):
+    # Next Fit closes server 1 when job 2 arrives at t=2 and puts job 3 in
+    # server 2; moving job 3 into closed server 1 breaks no capacity,
+    # release or stretch rule, only the close
+    seq_path, ev_path = tmp_path / "ex.csv", tmp_path / "ev.csv"
+    write_sequence_csv(
+        JobSequence([Job(1, 6, 0, 9), Job(2, 6, 2, 8), Job(3, 2, 4, 6)],
+                    CapacityConfig(10)),
+        seq_path,
+    )
+    assert main(["run", "nf", str(seq_path), "--events", str(ev_path)]) == 0
+    text = ev_path.read_text(encoding="utf-8")
+    assert "4,place,3,2\n" in text
+    ev_path.write_text(text.replace("4,place,3,2\n", "4,place,3,1\n"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(seq_path), str(ev_path)]) == 1
+    assert capsys.readouterr().out == (
+        "violation: placement-after-close t=4 job=3 server=1 closed at 2\n"
+    )
+
+
 @pytest.mark.parametrize(
     "row, message",
     [("1,shut,,1", "line 2: unknown event kind 'shut'"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from rentsim import (
     CapacityConfig,
     Job,
     JobSequence,
+    UniformParams,
     brute_force_opt,
     build_report,
     build_strategy,
@@ -20,11 +22,17 @@ from rentsim import (
     check_universal_bounds,
     compute_stats,
     lower_bound,
+    gen_uniform,
     simulate,
 )
 from rentsim.strategies import ModifiedNextFit, MoveToFront, NextFit
 
-from helpers import all_strategy_specs, job_sequences
+from helpers import (
+    BATTERY_SEED,
+    all_strategy_specs,
+    job_sequences,
+    reference_check_mtf_bound,
+)
 
 
 def test_lower_bound_on_three_job_instance(three_job_instance):
@@ -197,6 +205,34 @@ def test_mtf_bound_checks_each_continuous_segment():
     seg1 = 6 * mu1 * Fraction(20, 10) + 2 + 3 * mu1 * stats.delta
     seg2 = 6 * mu1 * Fraction(24, 10) + 2 + 3 * mu1 * stats.delta
     assert entry.formula_value == seg1 + seg2
+
+
+@given(job_sequences(max_jobs=16, max_time=30), st.lists(st.integers(-40, 60), max_size=16))
+@settings(max_examples=80, deadline=None)
+def test_mtf_bound_sweep_matches_reference(seq, shifts):
+    stats = compute_stats(seq)
+    result = simulate(MoveToFront(seq.capacity.e), seq, record_events=False)
+    assert check_mtf_bound(result, stats) == reference_check_mtf_bound(result, stats)
+    # moved servers: opened before, between or after the segments, and
+    # stretched until some segments break the bound
+    servers = tuple(
+        dataclasses.replace(srv, opened_at=srv.opened_at + shift,
+                            released_at=srv.released_at + shift + 20 * abs(shift))
+        for srv, shift in zip(result.trace.servers, shifts)
+    ) + result.trace.servers[len(shifts):]
+    moved = dataclasses.replace(result, trace=dataclasses.replace(result.trace,
+                                                                  servers=servers))
+    assert check_mtf_bound(moved, stats) == reference_check_mtf_bound(moved, stats)
+
+
+@pytest.mark.parametrize("mu", [2, 10, 100])
+@pytest.mark.parametrize("i", [0, 1])
+def test_mtf_bound_sweep_matches_reference_on_battery_seeds(mu, i):
+    seq = gen_uniform(UniformParams(n=1000, e=1000, t=1000, mu=mu,
+                                    seed=BATTERY_SEED + mu * 10_000 + i))
+    stats = compute_stats(seq)
+    result = simulate(MoveToFront(1000), seq, record_events=False)
+    assert check_mtf_bound(result, stats) == reference_check_mtf_bound(result, stats)
 
 
 def test_mtf_bound_rejects_foreign_results(three_job_instance):

@@ -150,6 +150,40 @@ def test_validate_flags_early_release():
     ]
 
 
+@pytest.mark.parametrize("second, flagged", [
+    (Job(2, 2, 5, 7), True),  # the server sat empty over [3, 5)
+    (Job(2, 2, 3, 7), True),  # job 1 leaves at 3 before job 2 arrives at 3
+    (Job(2, 2, 2, 7), False),
+])
+def test_validate_flags_server_empty_before_release(second, flagged):
+    seq = JobSequence([Job(1, 2, 1, 3), second], CapacityConfig(10))
+    trace = _trace(
+        seq, [ServerRecord(1, opened_at=1, released_at=7, closed_at=None, jobs=(1, 2))]
+    )
+    violations = validate_trace(trace)
+    assert [v.invariant for v in violations] == (
+        ["server-empty-before-release"] if flagged else []
+    )
+    if flagged:
+        assert (violations[0].time, violations[0].job_id) == (second.arrival, 2)
+
+
+@pytest.mark.parametrize("closed_at, flagged", [(2, True), (4, False), (None, False)])
+def test_validate_flags_placement_after_close(closed_at, flagged):
+    # a job may land in a server in the step that closes it, never later
+    seq = JobSequence([Job(1, 2, 0, 9), Job(2, 2, 4, 6)], CapacityConfig(10))
+    trace = _trace(
+        seq, [ServerRecord(1, opened_at=0, released_at=9, closed_at=closed_at,
+                           jobs=(1, 2))]
+    )
+    violations = validate_trace(trace)
+    assert [v.invariant for v in violations] == (
+        ["placement-after-close"] if flagged else []
+    )
+    if flagged:
+        assert (violations[0].time, violations[0].job_id) == (4, 2)
+
+
 def test_validate_flags_double_assignment_and_missing_job():
     seq = JobSequence([Job(1, 2, 0, 3), Job(2, 2, 0, 3)], CapacityConfig(10))
     trace = PlacementTrace(

@@ -227,6 +227,23 @@ def test_simulate_matches_reference_loop_on_battery_seeds(mu, i):
         _assert_same_run(spec, 1000, seq)
 
 
+@given(job_sequences(max_jobs=24, max_time=10), st.integers(1, 6))
+def test_strategies_run_back_to_back_share_one_timeline(seq, mu):
+    e = seq.capacity.e
+    shared = JobSequence(seq.jobs, seq.capacity)
+    for spec in all_strategy_specs(mu):
+        result = simulate(build_strategy(spec, e), shared)
+        fresh = JobSequence(seq.jobs, seq.capacity)
+        assert result == simulate(build_strategy(spec, e), fresh), spec
+        assert result == reference_simulate(build_strategy(spec, e), shared), spec
+    assert shared.timeline is shared.timeline
+    # the cached schedule is no field: equality, hash and repr ignore it
+    untouched = JobSequence(seq.jobs, seq.capacity)
+    assert "timeline" in vars(shared) and "timeline" not in vars(untouched)
+    assert shared == untouched and hash(shared) == hash(untouched)
+    assert repr(shared) == repr(untouched)
+
+
 class _BadTarget:
     name = "bad-target"
 
