@@ -344,6 +344,9 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
     every job, per-server capacity at all times, release at the last
     departure, stretch >= minimum job length, and a time-monotone event
     log with departures/releases ordered before arrivals within a step.
+    A trace with events is also checked against its sequence: each job has
+    exactly one arrive and one place row at its arrival step and one depart
+    row at its departure step, naming the server it was placed in.
     """
     violations: list[Violation] = []
     seq = trace.sequence
@@ -443,14 +446,44 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
                 )
             )
 
+    # the log against the sequence, in one pass and only when there is a log:
+    # time order, and each job arrives and is placed at its arrival step and
+    # departs from its own server at its departure step, once each
+    if not trace.events:
+        return violations
+    logged: dict[str, set[int]] = {"arrive": set(), "place": set(), "depart": set()}
+    assignments = trace.assignments
     prev: tuple[int, int] | None = None
     for ev in trace.events:
-        key = (ev.t, EVENT_PHASE[ev.kind])
+        t, kind, jid = ev.t, ev.kind, ev.job_id
+        key = (t, EVENT_PHASE[kind])
         if prev is not None and key < prev:
-            violations.append(
-                Violation("event-log-out-of-order", time=ev.t, detail=ev.kind)
-            )
+            violations.append(Violation("event-log-out-of-order", time=t, detail=kind))
         prev = key
+        seen = logged.get(kind)
+        if seen is None:  # close and release name no job
+            continue
+        job = jobs_by_id.get(jid)
+        if job is None:
+            violations.append(
+                Violation("unknown-job-in-log", time=t, job_id=jid, detail=kind))
+            continue
+        if jid in seen:
+            violations.append(Violation("event-repeated", time=t, job_id=jid, detail=kind))
+        seen.add(jid)
+        step = job.departure if kind == "depart" else job.arrival
+        if t != step:
+            violations.append(
+                Violation("event-at-wrong-step", time=t, job_id=jid,
+                          server_id=ev.server_id, detail=f"{kind} expected at {step}"))
+        if kind == "depart" and ev.server_id != (placed_in := assignments.get(jid)):
+            violations.append(
+                Violation("depart-from-wrong-server", time=t, job_id=jid,
+                          server_id=ev.server_id, detail=f"placed in {placed_in}"))
+    for kind, seen in logged.items():
+        if len(seen) != len(jobs_by_id):
+            for jid in sorted(jobs_by_id.keys() - seen):
+                violations.append(Violation("event-missing", job_id=jid, detail=kind))
     return violations
 
 

@@ -14,17 +14,22 @@ released.  An arrival's view is a copy of that table, and a step's releases
 come from the departures that empty a server, so no step scans every live
 server.
 
-The per-job cost is kept to few, cheap objects: the step schedule is the
-sequence's cached :attr:`~rentsim.core.JobSequence.timeline`, shared by every
-run over it; views, decisions and records are ``frozen_record`` values built
-positionally; and the result (records, per-server triples, cost, critical
-count) is assembled in one pass over the servers.
+Per-server state is plain lists indexed by server id (opening time, release
+and close times, level, jobs, tag), not one object per server.  Sizes are at
+least 1, so a server is empty exactly when its level is 0; every id a strategy
+names is checked against the placeable servers, never by list bounds.  The
+step schedule is the sequence's cached
+:attr:`~rentsim.core.JobSequence.timeline`, shared by every run over it;
+views, decisions and records are ``frozen_record`` values built positionally;
+and the result (records, per-server triples, cost, critical count) is
+assembled from those lists with ``map`` and ``zip``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import sub
 from typing import Hashable, Protocol
 
 from .core import (
@@ -132,21 +137,6 @@ class RunResult:
     critical_count: int
 
 
-class _LiveServer:
-    __slots__ = ("id", "opened_at", "closed_at", "released_at", "level", "resident",
-                 "jobs", "tag")
-
-    def __init__(self, sid: int, opened_at: int):
-        self.id = sid
-        self.opened_at = opened_at
-        self.closed_at: int | None = None
-        self.released_at: int | None = None
-        self.level = 0
-        self.resident = 0  # number of jobs on the server
-        self.jobs: list[int] = []
-        self.tag: Hashable = None
-
-
 def simulate(
     strategy: PlacementStrategy, seq: JobSequence, *, record_events: bool = True
 ) -> RunResult:
@@ -165,12 +155,19 @@ def simulate(
     e = seq.capacity.e
     place = strategy.place
     # module names used per job, bound once
-    new_server, server_view, arrival_view, event = (
-        _LiveServer, ServerView, ArrivalView, Event)
-    opened: list[_LiveServer] = []  # every server, in id order
-    live: dict[int, _LiveServer] = {}
+    server_view, arrival_view, event = ServerView, ArrivalView, Event
+    # per-server state, indexed by server id; ids count up from 1 in opening
+    # order, so index 0 is padding.  Sizes are >= 1: a server is empty
+    # exactly when its level is 0.
+    opened_at: list = [None]
+    released_at: list = [None]
+    closed_at: list = [None]
+    level: list = [0]
+    jobs: list = [None]
+    tag: list = [None]
     # placeable servers only; insertion order == opening order, and replacing
-    # an entry keeps its place
+    # an entry keeps its place.  Every id check goes through it: plain list
+    # indexing would accept 0, a negative id or a closed or released server.
     views: dict[int, ServerView] = {}
     assignments: dict[int, int] = {}
     events: list[Event] = []
@@ -179,19 +176,18 @@ def simulate(
         if departures:
             emptied: list[int] = []
             for job in departures:
-                srv = live[assignments[job.id]]
-                srv.level -= job.size
-                srv.resident -= 1
+                sid = assignments[job.id]
+                lvl = level[sid] = level[sid] - job.size
                 if record_events:
-                    events.append(event(t, "depart", job.id, srv.id))
-                if not srv.resident:
-                    emptied.append(srv.id)
-                elif srv.closed_at is None:
-                    views[srv.id] = server_view(srv.id, srv.level, srv.tag)
+                    events.append(event(t, "depart", job.id, sid))
+                if not lvl:
+                    emptied.append(sid)
+                elif closed_at[sid] is None:
+                    views[sid] = server_view(sid, lvl, tag[sid])
             if len(emptied) > 1:
                 emptied.sort()  # ids ascend in opening order
             for sid in emptied:
-                live.pop(sid).released_at = t
+                released_at[sid] = t
                 views.pop(sid, None)
                 if record_events:
                     events.append(event(t, "release", None, sid))
@@ -201,81 +197,61 @@ def simulate(
                 events.append(event(t, "arrive", job.id, None))
             decision = place(arrival_view(job.id, job.size, t, tuple(views.values())))
             for cid in decision.close:
-                target = live.get(cid)
-                if target is None or target.closed_at is not None:
+                if cid not in views:
                     raise InfeasiblePlacementError(
                         f"close of unknown or already closed server {cid}",
-                        time=t,
-                        job_id=job.id,
-                        decision=decision,
-                    )
-                target.closed_at = t
+                        time=t, job_id=job.id, decision=decision)
+                closed_at[cid] = t
                 del views[cid]
                 if record_events:
                     events.append(event(t, "close", None, cid))
-            if decision.place_in is None:
-                srv = new_server(len(opened) + 1, t)
-                opened.append(srv)
-                live[srv.id] = srv
+            sid = decision.place_in
+            if sid is None:
+                sid = len(level)
+                opened_at.append(t)
+                released_at.append(None)
+                closed_at.append(None)
+                level.append(job.size)
+                jobs.append([job.id])
+                tag.append(decision.tag)
             else:
-                srv = live.get(decision.place_in)  # type: ignore[assignment]
-                if srv is None or srv.closed_at is not None:
+                if sid not in views:
                     raise InfeasiblePlacementError(
-                        f"target server {decision.place_in} is not open for placement",
-                        time=t,
-                        job_id=job.id,
-                        decision=decision,
-                    )
-                if srv.level + job.size > e:
+                        f"target server {sid} is not open for placement",
+                        time=t, job_id=job.id, decision=decision)
+                if level[sid] + job.size > e:
                     raise InfeasiblePlacementError(
-                        f"server {srv.id} at level {srv.level} cannot take size {job.size}",
-                        time=t,
-                        job_id=job.id,
-                        decision=decision,
-                    )
-            srv.level += job.size
-            srv.resident += 1
-            srv.jobs.append(job.id)
-            if decision.tag is not None:
-                srv.tag = decision.tag
-            views[srv.id] = server_view(srv.id, srv.level, srv.tag)
-            assignments[job.id] = srv.id
+                        f"server {sid} at level {level[sid]} cannot take size {job.size}",
+                        time=t, job_id=job.id, decision=decision)
+                level[sid] += job.size
+                jobs[sid].append(job.id)
+                if decision.tag is not None:
+                    tag[sid] = decision.tag
+            views[sid] = server_view(sid, level[sid], tag[sid])
+            assignments[job.id] = sid
             if record_events:
-                events.append(event(t, "place", job.id, srv.id))
+                events.append(event(t, "place", job.id, sid))
 
-    assert not live, "all servers must be released once every job has departed"
+    del opened_at[0], released_at[0], closed_at[0], jobs[0]
+    assert None not in released_at, "every server is released once its jobs depart"
 
-    # records, per-server triples, cost and critical count in one pass
-    records: list[ServerRecord] = []
-    per_server: list[tuple[int, int, int]] = []
-    total_cost = critical_count = 0
-    for srv in opened:
-        sid, opened_at, released_at, closed_at = (
-            srv.id, srv.opened_at, srv.released_at, srv.closed_at)
-        records.append(
-            ServerRecord(sid, opened_at, released_at, closed_at, tuple(srv.jobs)))
-        stretch = released_at - opened_at
-        total_cost += stretch
-        if closed_at is None:
-            per_server.append((sid, stretch, 0))
-        else:
-            closed_period = released_at - closed_at
-            per_server.append((sid, stretch, closed_period))
-            if closed_period > 0:
-                critical_count += 1
+    # one int object per id, shared by the records and the per-server triples
+    ids = list(range(1, len(jobs) + 1))
+    closed_periods = [0 if c is None else r - c for r, c in zip(released_at, closed_at)]
     trace = PlacementTrace(
         sequence=seq,
         assignments=assignments,
-        servers=tuple(records),
+        servers=tuple(map(ServerRecord, ids, opened_at, released_at, closed_at,
+                          map(tuple, jobs))),
         events=tuple(events),
     )
     return RunResult(
         strategy=strategy.name,
-        total_cost=total_cost,
+        total_cost=sum(released_at) - sum(opened_at),
         trace=trace,
-        per_server=tuple(per_server),
-        servers_opened=len(records),
-        critical_count=critical_count,
+        per_server=tuple(zip(ids, map(sub, released_at, opened_at), closed_periods)),
+        servers_opened=len(ids),
+        critical_count=len(ids) - closed_periods.count(0),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from .core import CapacityConfig, Job, JobSequence, frozen_record
 from .engine import simulate
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
 
 
 class SplitMix64:
@@ -38,23 +40,47 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    @staticmethod
+    def ranges(*bounds: tuple[int, int]) -> tuple[tuple[int, int, int], ...]:
+        """``(lo, n, limit)`` per inclusive ``(lo, hi)``, the input of :meth:`draw`.
+
+        ``limit`` is the largest multiple of n up to 2**64: a raw draw below
+        it maps to ``lo + draw % n`` without modulo bias.
+        """
+        out = []
+        for lo, hi in bounds:
+            if lo > hi:
+                raise ValueError(f"empty range [{lo}, {hi}]")
+            n = hi - lo + 1
+            out.append((lo, n, _TWO64 - _TWO64 % n))
+        return tuple(out)
+
+    def draw(self, ranges: tuple[tuple[int, int, int], ...]) -> list[int]:
+        """One rejection-sampled value per range of :meth:`ranges`, in order."""
+        state = self._state
+        values = []
+        for lo, n, limit in ranges:
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & _MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                z ^= z >> 31
+                if z < limit:
+                    break
+            values.append(lo + z % n)
+        self._state = state
+        return values
+
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.draw(_FULL_RANGE)[0]
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], rejection sampled (no modulo bias)."""
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        n = hi - lo + 1
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return lo + (x % n)
+        return self.draw(self.ranges((lo, hi)))[0]
+
+
+# every 64-bit value: no draw is rejected and none is reduced
+_FULL_RANGE = SplitMix64.ranges((0, _MASK64))
 
 
 @frozen_record
@@ -95,12 +121,11 @@ def gen_uniform(params: UniformParams) -> JobSequence:
     """Deterministic uniform instance for a seed; ids follow draw order."""
     rng = SplitMix64(params.seed)
     size_hi = params.e if params.size_max is None else params.size_max
-    jobs = []
-    for jid in range(1, params.n + 1):
-        size = rng.randint(params.size_min, size_hi)
-        arrival = rng.randint(1, params.t - params.mu)
-        length = rng.randint(1, params.mu)
-        jobs.append(Job(jid, size, arrival, arrival + length))
+    ranges = rng.ranges(
+        (params.size_min, size_hi), (1, params.t - params.mu), (1, params.mu))
+    draws = map(rng.draw, repeat(ranges, params.n))
+    jobs = [Job(jid, size, arrival, arrival + length)
+            for jid, (size, arrival, length) in enumerate(draws, 1)]
     return JobSequence(jobs, CapacityConfig(params.e))
 
 

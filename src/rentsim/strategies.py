@@ -111,15 +111,22 @@ _OPEN = Decision()
 _OPEN_STREAM = {stream: Decision(None, (), stream) for stream in ("small", "large")}
 
 
-def _next_fit_stream(view: ArrivalView, e: int, tag) -> Decision:
-    """Next Fit over the servers carrying ``tag``: at most one is ever open."""
-    stream = [s for s in view.servers if s.tag == tag]
-    assert len(stream) <= 1, f"next-fit stream {tag!r} has {len(stream)} open servers"
-    if stream:
-        if stream[0].level + view.size <= e:
-            return Decision(stream[0].id)
-        return Decision(None, (stream[0].id,), tag)
-    return Decision(None, (), tag)
+def _next_fit_stream(view: ArrivalView, e: int, opening: Decision) -> Decision:
+    """Next Fit over the servers tagged ``opening.tag``: at most one is ever open.
+
+    ``opening`` is the shared decision that opens the stream's next server.
+    """
+    tag = opening.tag
+    current = None
+    for srv in view.servers:
+        if srv.tag == tag:
+            assert current is None, f"next-fit stream {tag!r} has two open servers"
+            current = srv
+    if current is None:
+        return opening
+    if current.level + view.size <= e:
+        return Decision(current.id)
+    return Decision(None, (current.id,), tag)
 
 
 class NextFit(_Base):
@@ -128,7 +135,7 @@ class NextFit(_Base):
     name = "nf"
 
     def place(self, view: ArrivalView) -> Decision:
-        return _next_fit_stream(view, self.e, None)
+        return _next_fit_stream(view, self.e, _OPEN)
 
 
 class ModifiedNextFit(_Base):
@@ -142,7 +149,7 @@ class ModifiedNextFit(_Base):
 
     def place(self, view: ArrivalView) -> Decision:
         small = view.size * self.k.numerator < self._small_below
-        return _next_fit_stream(view, self.e, "small" if small else "large")
+        return _next_fit_stream(view, self.e, _OPEN_STREAM["small" if small else "large"])
 
 
 class FirstFit(_Base):
@@ -202,12 +209,17 @@ class Harmonic(_Base):
         super().__init__(e)
         self.k = int(_checked_k("harmonic", k))
         self.name = f"harmonic:{self.k}"
+        # the decision opening each size class's next server, made on the
+        # class's first use (K and E are unbounded, so no table up front)
+        self._opening: dict[int, Decision] = {}
 
     def size_class(self, size: int) -> int:
         return min(self.k, self.e // size)
 
     def place(self, view: ArrivalView) -> Decision:
-        return _next_fit_stream(view, self.e, self.size_class(view.size))
+        c = min(self.k, self.e // view.size)
+        opening = self._opening.get(c) or self._opening.setdefault(c, Decision(None, (), c))
+        return _next_fit_stream(view, self.e, opening)
 
 
 class MoveToFront(_Base):

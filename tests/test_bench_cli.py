@@ -168,10 +168,8 @@ def test_cli_run_events_then_verify_round_trip(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
-def test_cli_verify_rejects_a_placement_into_a_closed_server(tmp_path, capsys):
-    # Next Fit closes server 1 when job 2 arrives at t=2 and puts job 3 in
-    # server 2; moving job 3 into closed server 1 breaks no capacity,
-    # release or stretch rule, only the close
+def _write_next_fit_log(tmp_path):
+    """The Next Fit run of (6,[0,9)), (6,[2,8)), (2,[4,6)) at E=10, with its event log."""
     seq_path, ev_path = tmp_path / "ex.csv", tmp_path / "ev.csv"
     write_sequence_csv(
         JobSequence([Job(1, 6, 0, 9), Job(2, 6, 2, 8), Job(3, 2, 4, 6)],
@@ -179,14 +177,53 @@ def test_cli_verify_rejects_a_placement_into_a_closed_server(tmp_path, capsys):
         seq_path,
     )
     assert main(["run", "nf", str(seq_path), "--events", str(ev_path)]) == 0
+    return seq_path, ev_path
+
+
+def test_cli_verify_rejects_a_placement_into_a_closed_server(tmp_path, capsys):
+    # Next Fit closes server 1 when job 2 arrives at t=2 and puts job 3 in
+    # server 2; moving job 3 (its place and its depart row) into closed
+    # server 1 breaks no capacity, release, stretch or log rule, only the close
+    seq_path, ev_path = _write_next_fit_log(tmp_path)
     text = ev_path.read_text(encoding="utf-8")
-    assert "4,place,3,2\n" in text
-    ev_path.write_text(text.replace("4,place,3,2\n", "4,place,3,1\n"), encoding="utf-8")
+    assert "4,place,3,2\n" in text and "6,depart,3,2\n" in text
+    text = text.replace("4,place,3,2\n", "4,place,3,1\n")
+    ev_path.write_text(text.replace("6,depart,3,2\n", "6,depart,3,1\n"), encoding="utf-8")
     capsys.readouterr()
     assert main(["verify", str(seq_path), str(ev_path)]) == 1
     assert capsys.readouterr().out == (
         "violation: placement-after-close t=4 job=3 server=1 closed at 2\n"
     )
+
+
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        # job 3's place row one step after its arrival
+        ("4,place,3,2", "5,place,3,2",
+         "violation: event-at-wrong-step t=5 job=3 server=2 place expected at 4\n"),
+        # job 3 departs from a server it was never placed in
+        ("6,depart,3,2", "6,depart,3,1",
+         "violation: depart-from-wrong-server t=6 job=3 server=1 placed in 2\n"),
+        # job 3 departs one step early
+        ("6,depart,3,2", "5,depart,3,2",
+         "violation: event-at-wrong-step t=5 job=3 server=2 depart expected at 6\n"),
+        # job 2's arrive row is missing
+        ("2,arrive,2,", None, "violation: event-missing job=2 arrive\n"),
+    ],
+    ids=["place-step", "depart-server", "depart-step", "arrive-missing"],
+)
+def test_cli_verify_rejects_a_log_that_disagrees_with_the_sequence(
+        tmp_path, capsys, old, new, expected):
+    seq_path, ev_path = _write_next_fit_log(tmp_path)
+    lines = ev_path.read_text(encoding="utf-8").splitlines()
+    assert old in lines
+    lines = [new if ln == old else ln for ln in lines]
+    ev_path.write_text("".join(f"{ln}\n" for ln in lines if ln is not None),
+                       encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(seq_path), str(ev_path)]) == 1
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize(

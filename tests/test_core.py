@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ from rentsim import (
     ServerRecord,
     compute_stats,
     read_sequence_csv,
+    simulate,
     validate_trace,
     write_sequence_csv,
 )
-from rentsim.core import merge_intervals, union_measure
+from rentsim.core import Event, merge_intervals, union_measure
+from rentsim.strategies import NextFit
 
 from helpers import job_sequences, pointwise_span
 
@@ -197,6 +200,27 @@ def test_validate_flags_double_assignment_and_missing_job():
     names = {v.invariant for v in validate_trace(trace)}
     assert "job-in-multiple-servers" in names
     assert "job-not-assigned" in names
+
+
+def test_validate_checks_the_log_against_the_sequence(three_job_instance):
+    # Next Fit on the 3/4/4 instance: job 3 arrives at t=3 into server 2
+    result = simulate(NextFit(10), three_job_instance)
+    events = result.trace.events
+    assert validate_trace(result.trace) == []
+    bare = simulate(NextFit(10), three_job_instance, record_events=False)
+    assert bare.trace.events == () and validate_trace(bare.trace) == []
+
+    def tampered(*rows):
+        trace = dataclasses.replace(result.trace, events=tuple(rows))
+        return [str(v) for v in validate_trace(trace)]
+
+    arrive_3 = events.index(Event(3, "arrive", 3))
+    assert tampered(*events, Event(9, "arrive", 4)) == [
+        "unknown-job-in-log t=9 job=4 arrive"]
+    assert tampered(*events[:arrive_3 + 1], *events[arrive_3:]) == [
+        "event-repeated t=3 job=3 arrive"]
+    assert tampered(*(ev for ev in events if ev.kind != "depart")) == [
+        f"event-missing job={jid} depart" for jid in (1, 2, 3)]
 
 
 def test_sequence_csv_round_trip(tmp_path, three_job_instance):

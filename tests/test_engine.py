@@ -289,6 +289,46 @@ def test_infeasible_decisions_raise():
         simulate(_BadCloser(), seq)
 
 
+class _Scripted:
+    """Returns the given decisions, one per arrival, in order."""
+
+    name = "scripted"
+
+    def __init__(self, *decisions):
+        self.decisions = iter(decisions)
+
+    def reset(self):
+        pass
+
+    def place(self, view):
+        return next(self.decisions)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [Decision(place_in=0), Decision(place_in=-1), Decision(place_in=1),
+     Decision(place_in=2), Decision(place_in=4), Decision(close=(1,)),
+     Decision(close=(0,)), Decision(close=(-1,)), Decision(close=(2,))],
+    ids=["place-0", "place-negative", "place-released", "place-closed",
+         "place-unopened", "close-released", "close-0", "close-negative",
+         "close-closed"],
+)
+def test_decisions_naming_no_placeable_server_raise(bad):
+    # server 1 is released at t=2, server 2 is closed at t=1 (Next Fit
+    # style) and still rented, server 3 is open; job 4 arrives at t=3.
+    # Ids index the engine's per-server lists, where 0 and negative ids
+    # would land on real entries: only the placeable set may accept them.
+    seq = JobSequence(
+        [Job(1, 6, 0, 2), Job(2, 6, 1, 9), Job(3, 2, 1, 9), Job(4, 2, 3, 9)],
+        CapacityConfig(10),
+    )
+    script = (Decision(), Decision(), Decision(None, (2,)))
+    assert simulate(_Scripted(*script, Decision(3)), seq).trace.assignments[4] == 3
+    with pytest.raises(InfeasiblePlacementError) as info:
+        simulate(_Scripted(*script, bad), seq)
+    assert (info.value.time, info.value.job_id, info.value.decision) == (3, 4, bad)
+
+
 @given(job_sequences())
 def test_every_engine_trace_validates_clean(seq):
     for strategy in (NextFit, FirstFit, BestFit, MoveToFront):
