@@ -27,6 +27,7 @@ from typing import Iterable, Mapping
 
 __all__ = [
     "frozen_record",
+    "BuiltOnFirstRead",
     "Job",
     "CapacityConfig",
     "JobSequence",
@@ -46,16 +47,14 @@ __all__ = [
 
 CSV_HEADER = ["id", "size", "arrival", "departure"]
 
-# the event kinds; depart/release happen strictly before arrive/place/close
-# within a time step
-EVENT_PHASE = {"depart": 0, "release": 0, "arrive": 1, "place": 1, "close": 1}
-# the ids an event of each kind must carry: (job id, server id)
-EVENT_IDS = {
-    "arrive": (True, False),
-    "place": (True, True),
-    "close": (False, True),
-    "depart": (True, True),
-    "release": (False, True),
+# the event kinds: (phase, carries a job id, carries a server id); within a
+# time step depart/release (phase 0) happen strictly before arrive/place/close
+EVENT_KINDS = {
+    "depart": (0, True, True),
+    "release": (0, False, True),
+    "arrive": (1, True, False),
+    "place": (1, True, True),
+    "close": (1, False, True),
 }
 
 
@@ -115,6 +114,37 @@ def frozen_record(cls):
     init.__annotations__ = dict(cls.__init__.__annotations__)
     cls.__init__ = init
     return cls
+
+
+class BuiltOnFirstRead:
+    """Mixin for a frozen dataclass whose field named ``_lazy`` may wait for its first read.
+
+    Python calls ``__getattr__`` only for a name missing from the instance
+    dict, so an instance made by the constructor never reaches it.  One made
+    by :meth:`unread` holds plain-data ``_columns`` in place of that field:
+    the first read returns ``self._build(*columns)``, stores it in the
+    instance dict, where later reads find it, and drops the columns.  So
+    equality, ``repr`` and ``dataclasses.replace``, which read every field,
+    behave as for a constructed instance, and ``copy`` and ``pickle`` of an
+    unread instance carry its columns.
+    """
+
+    _lazy = ""
+
+    @classmethod
+    def unread(cls, columns: tuple, **fields):
+        """An instance holding ``fields``, its ``_lazy`` field left to ``_build(*columns)``."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(fields, _columns=columns)
+        return obj
+
+    def __getattr__(self, name: str):
+        state = self.__dict__
+        if name != self._lazy or "_columns" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = state[name] = self._build(*state["_columns"])
+        del state["_columns"]
+        return value
 
 
 @frozen_record
@@ -305,13 +335,28 @@ class Event:
 
 
 @dataclass(frozen=True)
-class PlacementTrace:
-    """Full assignment history of a run; the unit of validation."""
+class PlacementTrace(BuiltOnFirstRead):
+    """Full assignment history of a run; the unit of validation.
+
+    A trace made by :func:`~rentsim.engine.simulate` builds ``servers`` on
+    first read (see :class:`BuiltOnFirstRead`) from the run's per-server
+    opening, release and close times, ids counting up from 1, and from
+    ``assignments``, whose insertion order is placement order.
+    """
 
     sequence: JobSequence
     assignments: Mapping[int, int]
     servers: tuple[ServerRecord, ...]
     events: tuple[Event, ...] = ()
+
+    _lazy = "servers"
+
+    def _build(self, opened_at, released_at, closed_at) -> tuple[ServerRecord, ...]:
+        jobs: list[list[int]] = [[] for _ in opened_at]
+        for jid, sid in self.assignments.items():
+            jobs[sid - 1].append(jid)
+        return tuple(map(ServerRecord, range(1, len(jobs) + 1), opened_at, released_at,
+                         closed_at, map(tuple, jobs)))
 
 
 @frozen_record
@@ -413,10 +458,16 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
                             detail=f"closed at {srv.closed_at}",
                         )
                     )
-        # load only increases at arrivals, so checking there suffices;
-        # report the first offending time per server
-        for t in sorted({job.arrival for job in members}):
-            load = sum(job.size for job in members if job.active_at(t))
+        # the load after each step, by a running sum of the step's size
+        # changes; it rises only at arrivals, so the first step it exceeds E
+        # is an arrival step, reported once per server
+        change: dict[int, int] = {}
+        for job in members:
+            change[job.arrival] = change.get(job.arrival, 0) + job.size
+            change[job.departure] = change.get(job.departure, 0) - job.size
+        load = 0
+        for t in sorted(change):
+            load += change[t]
             if load > e:
                 violations.append(
                     Violation(
@@ -456,7 +507,7 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
     prev: tuple[int, int] | None = None
     for ev in trace.events:
         t, kind, jid = ev.t, ev.kind, ev.job_id
-        key = (t, EVENT_PHASE[kind])
+        key = (t, EVENT_KINDS[kind][0])
         if prev is not None and key < prev:
             violations.append(Violation("event-log-out-of-order", time=t, detail=kind))
         prev = key

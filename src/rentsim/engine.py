@@ -15,14 +15,17 @@ come from the departures that empty a server, so no step scans every live
 server.
 
 Per-server state is plain lists indexed by server id (opening time, release
-and close times, level, jobs, tag), not one object per server.  Sizes are at
-least 1, so a server is empty exactly when its level is 0; every id a strategy
+and close times, level, tag), not one object per server.  Sizes are at least
+1, so a server is empty exactly when its level is 0; every id a strategy
 names is checked against the placeable servers, never by list bounds.  The
 step schedule is the sequence's cached
-:attr:`~rentsim.core.JobSequence.timeline`, shared by every run over it;
-views, decisions and records are ``frozen_record`` values built positionally;
-and the result (records, per-server triples, cost, critical count) is
-assembled from those lists with ``map`` and ``zip``.
+:attr:`~rentsim.core.JobSequence.timeline`, shared by every run over it, and
+views and decisions are ``frozen_record`` values built positionally.  The
+result's cost, server count, critical count, assignments and events are
+computed when the run ends; the trace's ``ServerRecord``s and the
+``per_server`` triples are built on first read from the time lists (a
+server's jobs are the ``assignments`` entries naming it, in insertion order),
+so a caller that reads only the cost never pays for them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from operator import sub
 from typing import Hashable, Protocol
 
 from .core import (
-    EVENT_IDS,
+    EVENT_KINDS,
+    BuiltOnFirstRead,
     Event,
     JobSequence,
     PlacementTrace,
@@ -122,11 +126,13 @@ class InfeasiblePlacementError(Exception):
 
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(BuiltOnFirstRead):
     """Outcome of one simulation run.
 
     ``per_server`` holds (server id, stretch, closed period) triples;
-    ``critical_count`` is the number of servers closed before release.
+    ``critical_count`` is the number of servers closed before release.  A
+    result made by :func:`simulate` builds ``per_server`` on first read (see
+    :class:`~rentsim.core.BuiltOnFirstRead`), as its trace builds ``servers``.
     """
 
     strategy: str
@@ -135,6 +141,13 @@ class RunResult:
     per_server: tuple[tuple[int, int, int], ...]
     servers_opened: int
     critical_count: int
+
+    _lazy = "per_server"
+
+    def _build(self, opened_at, released_at, closed_at) -> tuple[tuple[int, int, int], ...]:
+        closed_periods = [0 if c is None else r - c for r, c in zip(released_at, closed_at)]
+        return tuple(zip(range(1, len(opened_at) + 1), map(sub, released_at, opened_at),
+                         closed_periods))
 
 
 def simulate(
@@ -163,7 +176,6 @@ def simulate(
     released_at: list = [None]
     closed_at: list = [None]
     level: list = [0]
-    jobs: list = [None]
     tag: list = [None]
     # placeable servers only; insertion order == opening order, and replacing
     # an entry keeps its place.  Every id check goes through it: plain list
@@ -212,7 +224,6 @@ def simulate(
                 released_at.append(None)
                 closed_at.append(None)
                 level.append(job.size)
-                jobs.append([job.id])
                 tag.append(decision.tag)
             else:
                 if sid not in views:
@@ -224,7 +235,6 @@ def simulate(
                         f"server {sid} at level {level[sid]} cannot take size {job.size}",
                         time=t, job_id=job.id, decision=decision)
                 level[sid] += job.size
-                jobs[sid].append(job.id)
                 if decision.tag is not None:
                     tag[sid] = decision.tag
             views[sid] = server_view(sid, level[sid], tag[sid])
@@ -232,26 +242,18 @@ def simulate(
             if record_events:
                 events.append(event(t, "place", job.id, sid))
 
-    del opened_at[0], released_at[0], closed_at[0], jobs[0]
+    del opened_at[0], released_at[0], closed_at[0]
     assert None not in released_at, "every server is released once its jobs depart"
 
-    # one int object per id, shared by the records and the per-server triples
-    ids = list(range(1, len(jobs) + 1))
-    closed_periods = [0 if c is None else r - c for r, c in zip(released_at, closed_at)]
-    trace = PlacementTrace(
-        sequence=seq,
-        assignments=assignments,
-        servers=tuple(map(ServerRecord, ids, opened_at, released_at, closed_at,
-                          map(tuple, jobs))),
-        events=tuple(events),
-    )
-    return RunResult(
+    columns = (opened_at, released_at, closed_at)
+    return RunResult.unread(
+        columns,
         strategy=strategy.name,
         total_cost=sum(released_at) - sum(opened_at),
-        trace=trace,
-        per_server=tuple(zip(ids, map(sub, released_at, opened_at), closed_periods)),
-        servers_opened=len(ids),
-        critical_count=len(ids) - closed_periods.count(0),
+        trace=PlacementTrace.unread(columns, sequence=seq, assignments=assignments,
+                                    events=tuple(events)),
+        servers_opened=len(opened_at),
+        critical_count=sum(c is not None and r > c for r, c in zip(released_at, closed_at)),
     )
 
 
@@ -281,7 +283,7 @@ def read_event_csv(path) -> tuple[Event, ...]:
     """Read an event log written by :func:`write_event_csv`.
 
     A row with an unknown kind, a field count other than four, a missing
-    id its kind requires (``EVENT_IDS``), or a non-integer number raises
+    id its kind requires (``EVENT_KINDS``), or a non-integer number raises
     ValueError naming its line number.
     """
     events: list[Event] = []
@@ -299,11 +301,12 @@ def read_event_csv(path) -> tuple[Event, ...]:
                     f"got {len(row)}"
                 )
             t, kind, job_id, server_id = row
-            required = EVENT_IDS.get(kind)
-            if required is None:
+            spec = EVENT_KINDS.get(kind)
+            if spec is None:
                 raise ValueError(f"line {reader.line_num}: unknown event kind {kind!r}")
-            if required[0] and not job_id or required[1] and not server_id:
-                missing = "job" if required[0] and not job_id else "server"
+            _, needs_job, needs_server = spec
+            if needs_job and not job_id or needs_server and not server_id:
+                missing = "job" if needs_job and not job_id else "server"
                 raise ValueError(
                     f"line {reader.line_num}: {kind} event without a {missing} id"
                 )

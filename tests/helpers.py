@@ -6,7 +6,9 @@ engine and strategy behaviour is checked against something other than
 itself.  ``reference_simulate`` is the plain engine loop that the
 incremental one in ``rentsim.engine`` is compared with, trace for trace, and
 ``reference_check_mtf_bound`` the per-segment rescan that the one-sweep
-``rentsim.bounds.check_mtf_bound`` is compared with.
+``rentsim.bounds.check_mtf_bound`` is compared with, and
+``reference_capacity_violations`` the per-arrival load scan that
+``rentsim.validate_trace``'s running sum is compared with.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from rentsim import (
     ServerView,
 )
 from rentsim.bounds import BoundEntry
-from rentsim.core import Event, merge_intervals
+from rentsim.core import Event, Violation, merge_intervals
 
 
 @st.composite
@@ -195,6 +197,24 @@ def reference_check_mtf_bound(result, stats) -> BoundEntry:
         cost=Fraction(result.total_cost),
         satisfied=satisfied,
     )
+
+
+def reference_capacity_violations(trace) -> list[Violation]:
+    """Differential oracle for ``validate_trace``'s capacity check: at each
+    arrival step of a server, sum the sizes of its jobs active then.  Same
+    ``capacity-exceeded`` violations, in the same order."""
+    e = trace.sequence.capacity.e
+    jobs_by_id = {job.id: job for job in trace.sequence.jobs}
+    violations = []
+    for srv in trace.servers:
+        members = [jobs_by_id[jid] for jid in srv.jobs if jid in jobs_by_id]
+        for t in sorted({job.arrival for job in members}):
+            load = sum(job.size for job in members if job.active_at(t))
+            if load > e:
+                violations.append(Violation("capacity-exceeded", time=t, server_id=srv.id,
+                                            detail=f"load {load} > {e}"))
+                break
+    return violations
 
 
 class ReplayState:

@@ -14,6 +14,7 @@ from rentsim import (
     JobSequence,
     PlacementTrace,
     ServerRecord,
+    build_strategy,
     compute_stats,
     read_sequence_csv,
     simulate,
@@ -23,7 +24,7 @@ from rentsim import (
 from rentsim.core import Event, merge_intervals, union_measure
 from rentsim.strategies import NextFit
 
-from helpers import job_sequences, pointwise_span
+from helpers import job_sequences, pointwise_span, reference_capacity_violations
 
 
 def test_job_rejects_bad_fields():
@@ -141,6 +142,32 @@ def test_validate_flags_capacity_overflow():
     assert [v.invariant for v in violations] == ["capacity-exceeded"]
     assert violations[0].time == 2  # the overlap starts when job 2 arrives
     assert violations[0].server_id == 1
+
+
+@given(job_sequences(max_jobs=12), st.sampled_from(["nf", "ff", "bf", "mtf"]), st.data())
+def test_capacity_sweep_matches_the_per_arrival_scan(seq, spec, data):
+    clean = simulate(build_strategy(spec, seq.capacity.e), seq).trace
+    # overfull: the jobs spread over k servers at random, whatever their sizes
+    k = data.draw(st.integers(1, len(seq)))
+    groups: dict[int, list[Job]] = {}
+    for job in seq.jobs:
+        groups.setdefault(data.draw(st.integers(1, k)), []).append(job)
+    overfull = _trace(seq, [
+        ServerRecord(sid, min(j.arrival for j in jobs), max(j.departure for j in jobs),
+                     None, tuple(j.id for j in jobs))
+        for sid, jobs in sorted(groups.items())
+    ])
+    # tampered: one server of the clean trace gains a job, its own, another
+    # server's or one the sequence does not have
+    servers = list(clean.servers)
+    i = data.draw(st.integers(0, len(servers) - 1))
+    extra = data.draw(st.integers(1, len(seq) + 1))
+    servers[i] = dataclasses.replace(servers[i], jobs=servers[i].jobs + (extra,))
+    tampered = dataclasses.replace(clean, servers=tuple(servers))
+    assert reference_capacity_violations(clean) == []
+    for trace in (clean, overfull, tampered):
+        assert [v for v in validate_trace(trace) if v.invariant == "capacity-exceeded"] \
+            == reference_capacity_violations(trace)
 
 
 def test_validate_flags_early_release():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import hypothesis.strategies as st
 import pytest
@@ -13,6 +15,7 @@ from rentsim import (
     InfeasiblePlacementError,
     Job,
     JobSequence,
+    ServerRecord,
     ServerView,
     UniformParams,
     build_strategy,
@@ -22,6 +25,7 @@ from rentsim import (
     simulate,
     validate_trace,
 )
+from rentsim import core, engine
 from rentsim.engine import read_event_csv, trace_from_events, write_event_csv
 from rentsim.strategies import BestFit, FirstFit, MoveToFront, NextFit
 
@@ -242,6 +246,52 @@ def test_strategies_run_back_to_back_share_one_timeline(seq, mu):
     assert "timeline" in vars(shared) and "timeline" not in vars(untouched)
     assert shared == untouched and hash(shared) == hash(untouched)
     assert repr(shared) == repr(untouched)
+
+
+_SMALL_DESK = UniformParams(n=300, e=100, t=100, mu=6, seed=7)
+
+
+@pytest.mark.parametrize("record_events", [True, False])
+def test_records_and_per_server_are_built_on_first_read(monkeypatch, record_events):
+    built: list[int] = []
+
+    def counting_record(*args):
+        built.append(args[0])
+        return ServerRecord(*args)
+
+    for module in (core, engine):
+        monkeypatch.setattr(module, "ServerRecord", counting_record)
+    seq = gen_uniform(_SMALL_DESK)
+    for spec in all_strategy_specs(_SMALL_DESK.mu):
+        result = simulate(build_strategy(spec, seq.capacity.e), seq,
+                          record_events=record_events)
+        assert result.total_cost > 0 and result.servers_opened > 0 <= result.critical_count
+        assert built == [], spec
+        servers = result.trace.servers
+        assert built == list(range(1, result.servers_opened + 1)), spec
+        assert result.trace.servers is servers
+        assert result.per_server is result.per_server
+        built.clear()
+
+
+@pytest.mark.parametrize("record_events", [True, False])
+def test_an_unread_result_copies_pickles_and_replaces_as_a_read_one(record_events):
+    seq = gen_uniform(_SMALL_DESK)
+    for spec in all_strategy_specs(_SMALL_DESK.mu):
+        def run():
+            result = simulate(build_strategy(spec, seq.capacity.e), seq,
+                              record_events=record_events)
+            assert "per_server" not in vars(result) and "servers" not in vars(result.trace)
+            return result
+
+        read = run()
+        assert read.per_server and read.trace.servers
+        for clone in (pickle.loads(pickle.dumps(run())), copy.copy(run()),
+                      copy.deepcopy(run())):
+            assert clone == read, spec
+        assert dataclasses.replace(run().trace).servers == read.trace.servers, spec
+        assert dataclasses.replace(run()) == read, spec
+        assert repr(run()) == repr(read), spec
 
 
 class _BadTarget:
