@@ -265,7 +265,10 @@ def test_records_and_per_server_are_built_on_first_read(monkeypatch, record_even
     for spec in all_strategy_specs(_SMALL_DESK.mu):
         result = simulate(build_strategy(spec, seq.capacity.e), seq,
                           record_events=record_events)
-        assert result.total_cost > 0 and result.servers_opened > 0 <= result.critical_count
+        expected = reference_simulate(build_strategy(spec, seq.capacity.e), seq,
+                                      record_events=record_events)
+        assert (result.total_cost, result.servers_opened, result.critical_count) == (
+            expected.total_cost, expected.servers_opened, expected.critical_count), spec
         assert built == [], spec
         servers = result.trace.servers
         assert built == list(range(1, result.servers_opened + 1)), spec
