@@ -18,7 +18,6 @@ from .engine import (
     InfeasiblePlacementError,
     RunResult,
     ServerView,
-    reset,
     simulate,
 )
 from .strategies import (

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .bounds import ORACLE_DEFAULT_LIMIT, brute_force_opt
 from .core import compute_stats
@@ -105,34 +105,42 @@ def _run_trial(args) -> list[tuple[str, int, Fraction]]:
 def run_experiment(spec: ExperimentSpec) -> list[AggregateRow]:
     """Run the full matrix and aggregate per (cell, strategy).
 
-    Any single-run failure aborts the cell with a :class:`BenchError`
+    Any single-run failure aborts the run with a :class:`BenchError`
     naming the cell.  Rows come out in grid order, strategies in the
     order given, so the output is reproducible byte for byte.  A bad
-    strategy selection raises ValueError before any trial runs.
+    strategy selection raises ValueError before any trial runs.  With
+    ``workers > 1`` one process pool runs every cell's trials.
     """
     for e in spec.es:
         for mu in spec.mus:
             for name in spec.strategies:
                 build_strategy(name, e, mu=mu)
+    cells = [(n, e, t, mu) for n in spec.ns for e in spec.es
+             for t in spec.ts for mu in spec.mus]
+    tasks = [(n, e, t, mu, spec.seed_base + i, spec.strategies, spec.oracle)
+             for n, e, t, mu in cells for i in range(spec.trials)]
+    if spec.workers == 1:
+        # The lazy map runs no trial of a later cell once one fails.
+        return _aggregate_cells(spec, cells, map(_run_trial, tasks))
+    # Imported here so that no other rentsim process loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=spec.workers)
+    try:
+        return _aggregate_cells(spec, cells, pool.map(_run_trial, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _aggregate_cells(spec, cells, per_trial_results) -> list[AggregateRow]:
+    """Fold the trial results, in grid and trial order, into rows per cell."""
     rows: list[AggregateRow] = []
-    for n in spec.ns:
-        for e in spec.es:
-            for t in spec.ts:
-                for mu in spec.mus:
-                    cell = f"n={n} e={e} t={t} mu={mu}"
-                    tasks = [
-                        (n, e, t, mu, spec.seed_base + i, spec.strategies, spec.oracle)
-                        for i in range(spec.trials)
-                    ]
-                    try:
-                        if spec.workers > 1:
-                            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                                per_trial = list(pool.map(_run_trial, tasks))
-                        else:
-                            per_trial = [_run_trial(task) for task in tasks]
-                    except (BenchError, ValueError) as exc:
-                        raise BenchError(f"cell {cell}: {exc}") from exc
-                    rows.extend(_aggregate_cell(spec, n, e, t, mu, per_trial))
+    for n, e, t, mu in cells:
+        try:
+            per_trial = list(islice(per_trial_results, spec.trials))
+        except (BenchError, ValueError) as exc:
+            raise BenchError(f"cell n={n} e={e} t={t} mu={mu}: {exc}") from exc
+        rows.extend(_aggregate_cell(spec, n, e, t, mu, per_trial))
     return rows
 
 

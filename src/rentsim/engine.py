@@ -53,7 +53,6 @@ __all__ = [
     "InfeasiblePlacementError",
     "PlacementStrategy",
     "simulate",
-    "reset",
     "write_event_csv",
     "read_event_csv",
     "trace_from_events",
@@ -257,26 +256,12 @@ def simulate(
     )
 
 
-def reset(strategy: PlacementStrategy) -> PlacementStrategy:
-    """Return the strategy to its freshly constructed state."""
-    strategy.reset()
-    return strategy
-
-
 def write_event_csv(events, path) -> None:
     """Emit the event log, one line per event, for debugging and trace diffing."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EVENT_HEADER)
-        for ev in events:
-            writer.writerow(
-                [
-                    ev.t,
-                    ev.kind,
-                    "" if ev.job_id is None else ev.job_id,
-                    "" if ev.server_id is None else ev.server_id,
-                ]
-            )
+        writer.writerows((ev.t, ev.kind, ev.job_id, ev.server_id) for ev in events)
 
 
 def read_event_csv(path) -> tuple[Event, ...]:

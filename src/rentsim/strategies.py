@@ -30,7 +30,6 @@ __all__ = [
     "MoveToFront",
     "parse_strategy",
     "build_strategy",
-    "STRATEGY_KINDS",
 ]
 
 
@@ -265,4 +264,3 @@ _KINDS = {
     "harmonic": _Kind(Harmonic, lambda k: k.denominator == 1 and k >= 1, "integer K >= 1"),
     "mtf": _Kind(MoveToFront),
 }
-STRATEGY_KINDS = tuple(_KINDS)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rentsim
 from rentsim import (
     CapacityConfig,
     Job,
@@ -67,12 +72,15 @@ def test_bench_output_is_byte_deterministic(tmp_path):
 
 
 def test_bench_parallel_equals_sequential(tmp_path):
-    seq_spec = ExperimentSpec(**SMALL_SPEC)
-    par_spec = ExperimentSpec(**{**SMALL_SPEC, "workers": 2})
-    a, b = tmp_path / "seq.csv", tmp_path / "par.csv"
-    rows_to_csv(run_experiment(seq_spec), a)
-    rows_to_csv(run_experiment(par_spec), b)
-    assert a.read_bytes() == b.read_bytes()
+    # The second grid has three cells and fewer trials than workers, so one
+    # pool's results must be split back into cells in grid order.
+    for spec in (SMALL_SPEC, {**SMALL_SPEC, "ts": (300, 400, 500), "trials": 1}):
+        seq_spec = ExperimentSpec(**spec)
+        par_spec = ExperimentSpec(**{**spec, "workers": 2})
+        a, b = tmp_path / "seq.csv", tmp_path / "par.csv"
+        rows_to_csv(run_experiment(seq_spec), a)
+        rows_to_csv(run_experiment(par_spec), b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_bench_oracle_toggle_checks_tiny_instances():
@@ -92,6 +100,23 @@ def test_bench_rejects_empty_grids_and_bad_cells():
                           mus=(5,), trials=1, seed_base=0)
     with pytest.raises(BenchError, match="cell"):
         run_experiment(spec)  # t <= mu is an invalid generator range
+    # Only the middle cell (t=5 <= mu=5) is invalid; the error names it, not a later cell.
+    for workers in (1, 2):
+        spec = ExperimentSpec(strategies=("nf", "ff"), ns=(20,), es=(10,), ts=(10, 5, 8),
+                              mus=(5,), trials=2, seed_base=0, workers=workers)
+        with pytest.raises(BenchError, match=r"^cell n=20 e=10 t=5 mu=5: "):
+            run_experiment(spec)
+
+
+def test_importing_rentsim_loads_no_process_pool():
+    # Only bench --workers N > 1 needs a pool, so no other process pays for it.
+    src = str(Path(rentsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, rentsim, rentsim.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------- CLI

@@ -21,7 +21,6 @@ from rentsim import (
     build_strategy,
     compute_stats,
     gen_uniform,
-    reset,
     simulate,
     validate_trace,
 )
@@ -105,7 +104,7 @@ def test_emptied_server_is_released_and_never_reused():
 def test_simulate_is_deterministic_and_reset_restores(three_job_instance):
     strategy = MoveToFront(10)
     first = simulate(strategy, three_job_instance)
-    reset(strategy)
+    strategy.reset()
     second = simulate(strategy, three_job_instance)
     assert first == second
 
@@ -113,7 +112,7 @@ def test_simulate_is_deterministic_and_reset_restores(three_job_instance):
 def test_reset_on_fresh_strategy_is_noop(three_job_instance):
     fresh = simulate(NextFit(10), three_job_instance)
     strategy = NextFit(10)
-    reset(strategy)
+    strategy.reset()
     assert simulate(strategy, three_job_instance) == fresh
 
 
@@ -124,7 +123,7 @@ def test_interleaved_runs_with_reset_match_independent_runs(seq_a, seq_b):
     seq_a = JobSequence(seq_a.jobs, CapacityConfig(cap))
     seq_b = JobSequence(seq_b.jobs, CapacityConfig(cap))
     first = simulate(strategy, seq_a)
-    reset(strategy)
+    strategy.reset()
     second = simulate(strategy, seq_b)
     assert first == simulate(BestFit(cap), seq_a)
     assert second == simulate(BestFit(cap), seq_b)
