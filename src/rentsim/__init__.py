@@ -28,9 +28,7 @@ from .strategies import (
     ModifiedNextFit,
     MoveToFront,
     NextFit,
-    StrategyConfig,
     build_strategy,
-    parse_strategy,
 )
 from .bounds import (
     BoundEntry,

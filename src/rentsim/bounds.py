@@ -20,6 +20,7 @@ from .core import (
     JobSequence,
     SequenceStats,
     compute_stats,
+    first_overload,
     fraction_json,
     frozen_record,
     merge_intervals,
@@ -122,14 +123,6 @@ def brute_force_opt(seq: JobSequence, limit: int = ORACLE_DEFAULT_LIMIT) -> int:
         raise ValueError(f"instance too large for oracle: {n} jobs > limit {limit}")
     e = seq.capacity.e
 
-    def feasible(group: list) -> bool:
-        # load only rises at arrivals, so checking each arrival point suffices
-        for j in group:
-            load = sum(k.size for k in group if k.active_at(j.arrival))
-            if load > e:
-                return False
-        return True
-
     best: int | None = None
     groups: list[list] = []
 
@@ -146,7 +139,7 @@ def brute_force_opt(seq: JobSequence, limit: int = ORACLE_DEFAULT_LIMIT) -> int:
         job = jobs[i]
         for group in groups:
             group.append(job)
-            if feasible(group):
+            if first_overload(group, e) is None:
                 walk(i + 1)
             group.pop()
         groups.append([job])

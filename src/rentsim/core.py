@@ -27,7 +27,6 @@ from typing import Iterable, Mapping
 
 __all__ = [
     "frozen_record",
-    "BuiltOnFirstRead",
     "Job",
     "CapacityConfig",
     "JobSequence",
@@ -38,6 +37,7 @@ __all__ = [
     "Violation",
     "compute_stats",
     "validate_trace",
+    "first_overload",
     "merge_intervals",
     "union_measure",
     "fraction_json",
@@ -116,37 +116,6 @@ def frozen_record(cls):
     return cls
 
 
-class BuiltOnFirstRead:
-    """Mixin for a frozen dataclass whose field named ``_lazy`` may wait for its first read.
-
-    Python calls ``__getattr__`` only for a name missing from the instance
-    dict, so an instance made by the constructor never reaches it.  One made
-    by :meth:`unread` holds plain-data ``_columns`` in place of that field:
-    the first read returns ``self._build(*columns)``, stores it in the
-    instance dict, where later reads find it, and drops the columns.  So
-    equality, ``repr`` and ``dataclasses.replace``, which read every field,
-    behave as for a constructed instance, and ``copy`` and ``pickle`` of an
-    unread instance carry its columns.
-    """
-
-    _lazy = ""
-
-    @classmethod
-    def unread(cls, columns: tuple, **fields):
-        """An instance holding ``fields``, its ``_lazy`` field left to ``_build(*columns)``."""
-        obj = object.__new__(cls)
-        obj.__dict__.update(fields, _columns=columns)
-        return obj
-
-    def __getattr__(self, name: str):
-        state = self.__dict__
-        if name != self._lazy or "_columns" not in state:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = state[name] = self._build(*state["_columns"])
-        del state["_columns"]
-        return value
-
-
 @frozen_record
 class Job:
     """One demand: occupies ``size`` capacity units during [arrival, departure)."""
@@ -169,9 +138,6 @@ class Job:
     @property
     def length(self) -> int:
         return self.departure - self.arrival
-
-    def active_at(self, t: int) -> bool:
-        return self.arrival <= t < self.departure
 
 
 @frozen_record
@@ -274,6 +240,25 @@ def union_measure(intervals: Iterable[tuple[int, int]]) -> int:
     return sum(end - start for start, end in merge_intervals(intervals))
 
 
+def first_overload(jobs: Iterable[Job], e: int) -> tuple[int, int] | None:
+    """The first step at which the jobs' total active size exceeds ``e``, and that load.
+
+    A running sum over the steps' size changes, O(k log k) for k jobs.  The
+    load rises only at arrivals, so the step found is an arrival step.  None
+    when the load stays within ``e``.
+    """
+    change: dict[int, int] = {}
+    for job in jobs:
+        change[job.arrival] = change.get(job.arrival, 0) + job.size
+        change[job.departure] = change.get(job.departure, 0) - job.size
+    load = 0
+    for t in sorted(change):
+        load += change[t]
+        if load > e:
+            return t, load
+    return None
+
+
 def fraction_json(value: Fraction | int) -> int | str:
     """An exact rational for JSON: an int when integral, else the string ``p/q``."""
     frac = Fraction(value)
@@ -335,13 +320,14 @@ class Event:
 
 
 @dataclass(frozen=True)
-class PlacementTrace(BuiltOnFirstRead):
+class PlacementTrace:
     """Full assignment history of a run; the unit of validation.
 
-    A trace made by :func:`~rentsim.engine.simulate` builds ``servers`` on
-    first read (see :class:`BuiltOnFirstRead`) from the run's per-server
-    opening, release and close times, ids counting up from 1, and from
-    ``assignments``, whose insertion order is placement order.
+    A trace made by :meth:`unread` holds plain-data ``_columns`` in place of
+    ``servers`` and builds the records on first read.  Python calls
+    ``__getattr__`` only for a name missing from the instance dict, so a
+    constructed trace never reaches it, and equality, ``repr``, ``copy``,
+    ``pickle`` and ``dataclasses.replace`` behave as for a constructed trace.
     """
 
     sequence: JobSequence
@@ -349,14 +335,31 @@ class PlacementTrace(BuiltOnFirstRead):
     servers: tuple[ServerRecord, ...]
     events: tuple[Event, ...] = ()
 
-    _lazy = "servers"
+    @classmethod
+    def unread(cls, columns: tuple, **fields) -> PlacementTrace:
+        """A trace holding ``fields``, its ``servers`` left to the first read.
 
-    def _build(self, opened_at, released_at, closed_at) -> tuple[ServerRecord, ...]:
+        ``columns`` are the per-server opening, release and close times, ids
+        counting up from 1; a server's jobs are the ``assignments`` entries
+        naming it, in insertion order, which is placement order.
+        """
+        obj = object.__new__(cls)
+        obj.__dict__.update(fields, _columns=columns)
+        return obj
+
+    def __getattr__(self, name: str):
+        state = self.__dict__
+        if name != "servers" or "_columns" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        opened_at, released_at, closed_at = state["_columns"]
         jobs: list[list[int]] = [[] for _ in opened_at]
         for jid, sid in self.assignments.items():
             jobs[sid - 1].append(jid)
-        return tuple(map(ServerRecord, range(1, len(jobs) + 1), opened_at, released_at,
-                         closed_at, map(tuple, jobs)))
+        servers = state["servers"] = tuple(map(
+            ServerRecord, range(1, len(jobs) + 1), opened_at, released_at, closed_at,
+            map(tuple, jobs)))
+        del state["_columns"]
+        return servers
 
 
 @frozen_record
@@ -391,7 +394,10 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
     log with departures/releases ordered before arrivals within a step.
     A trace with events is also checked against its sequence: each job has
     exactly one arrive and one place row at its arrival step and one depart
-    row at its departure step, naming the server it was placed in.
+    row at its departure step, naming the server it was placed in.  Each
+    server of the trace has exactly one release row, at its release step,
+    and at most one close row, at its close step; a close or release row
+    naming no server of the trace is a violation.
     """
     violations: list[Violation] = []
     seq = trace.sequence
@@ -458,26 +464,15 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
                             detail=f"closed at {srv.closed_at}",
                         )
                     )
-        # the load after each step, by a running sum of the step's size
-        # changes; it rises only at arrivals, so the first step it exceeds E
-        # is an arrival step, reported once per server
-        change: dict[int, int] = {}
-        for job in members:
-            change[job.arrival] = change.get(job.arrival, 0) + job.size
-            change[job.departure] = change.get(job.departure, 0) - job.size
-        load = 0
-        for t in sorted(change):
-            load += change[t]
-            if load > e:
-                violations.append(
-                    Violation(
-                        "capacity-exceeded",
-                        time=t,
-                        server_id=srv.id,
-                        detail=f"load {load} > {e}",
-                    )
+        if (overload := first_overload(members, e)) is not None:
+            violations.append(
+                Violation(
+                    "capacity-exceeded",
+                    time=overload[0],
+                    server_id=srv.id,
+                    detail=f"load {overload[1]} > {e}",
                 )
-                break
+            )
         last_departure = max(job.departure for job in members)
         if srv.released_at != last_departure:
             violations.append(
@@ -497,44 +492,59 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
                 )
             )
 
-    # the log against the sequence, in one pass and only when there is a log:
-    # time order, and each job arrives and is placed at its arrival step and
-    # departs from its own server at its departure step, once each
+    # the log against the trace, in one pass and only when there is a log:
+    # time order; each job arrives and is placed at its arrival step and
+    # departs from its own server at its departure step, once each; each
+    # close and release row names a server of the trace at its close or
+    # release step, once, and every server has its release row
     if not trace.events:
         return violations
-    logged: dict[str, set[int]] = {"arrive": set(), "place": set(), "depart": set()}
+    servers_by_id = {srv.id: srv for srv in trace.servers}
+    logged: dict[str, set[int]] = {kind: set() for kind in EVENT_KINDS}
     assignments = trace.assignments
     prev: tuple[int, int] | None = None
     for ev in trace.events:
-        t, kind, jid = ev.t, ev.kind, ev.job_id
+        t, kind = ev.t, ev.kind
         key = (t, EVENT_KINDS[kind][0])
         if prev is not None and key < prev:
             violations.append(Violation("event-log-out-of-order", time=t, detail=kind))
         prev = key
-        seen = logged.get(kind)
-        if seen is None:  # close and release name no job
-            continue
-        job = jobs_by_id.get(jid)
-        if job is None:
-            violations.append(
-                Violation("unknown-job-in-log", time=t, job_id=jid, detail=kind))
-            continue
-        if jid in seen:
-            violations.append(Violation("event-repeated", time=t, job_id=jid, detail=kind))
-        seen.add(jid)
-        step = job.departure if kind == "depart" else job.arrival
+        if kind == "release" or kind == "close":  # these name only a server
+            ref = ev.server_id
+            srv = servers_by_id.get(ref)
+            if srv is None:
+                violations.append(
+                    Violation("unknown-server-in-log", time=t, server_id=ref, detail=kind))
+                continue
+            step = srv.released_at if kind == "release" else srv.closed_at
+        else:
+            ref = ev.job_id
+            job = jobs_by_id.get(ref)
+            if job is None:
+                violations.append(
+                    Violation("unknown-job-in-log", time=t, job_id=ref, detail=kind))
+                continue
+            step = job.departure if kind == "depart" else job.arrival
+        seen = logged[kind]
+        if ref in seen:
+            violations.append(Violation("event-repeated", time=t, job_id=ev.job_id,
+                                        server_id=ev.server_id, detail=kind))
+        seen.add(ref)
         if t != step:
             violations.append(
-                Violation("event-at-wrong-step", time=t, job_id=jid,
+                Violation("event-at-wrong-step", time=t, job_id=ev.job_id,
                           server_id=ev.server_id, detail=f"{kind} expected at {step}"))
-        if kind == "depart" and ev.server_id != (placed_in := assignments.get(jid)):
+        if kind == "depart" and ev.server_id != (placed_in := assignments.get(ref)):
             violations.append(
-                Violation("depart-from-wrong-server", time=t, job_id=jid,
+                Violation("depart-from-wrong-server", time=t, job_id=ref,
                           server_id=ev.server_id, detail=f"placed in {placed_in}"))
-    for kind, seen in logged.items():
-        if len(seen) != len(jobs_by_id):
-            for jid in sorted(jobs_by_id.keys() - seen):
+    for kind in ("arrive", "place", "depart"):
+        if len(logged[kind]) != len(jobs_by_id):
+            for jid in sorted(jobs_by_id.keys() - logged[kind]):
                 violations.append(Violation("event-missing", job_id=jid, detail=kind))
+    if len(logged["release"]) != len(servers_by_id):
+        for sid in sorted(servers_by_id.keys() - logged["release"]):
+            violations.append(Violation("event-missing", server_id=sid, detail="release"))
     return violations
 
 

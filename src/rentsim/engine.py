@@ -22,22 +22,22 @@ step schedule is the sequence's cached
 :attr:`~rentsim.core.JobSequence.timeline`, shared by every run over it, and
 views and decisions are ``frozen_record`` values built positionally.  The
 result's cost, server count, critical count, assignments and events are
-computed when the run ends; the trace's ``ServerRecord``s and the
-``per_server`` triples are built on first read from the time lists (a
-server's jobs are the ``assignments`` entries naming it, in insertion order),
-so a caller that reads only the cost never pays for them.
+computed when the run ends.  The trace's ``ServerRecord``s are built on
+first read from the time lists (a server's jobs are the ``assignments``
+entries naming it, in insertion order), and ``RunResult.per_server`` is
+derived from those records on its first read, so a caller that reads only
+the cost never pays for either.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from operator import sub
+from functools import cached_property
 from typing import Hashable, Protocol
 
 from .core import (
     EVENT_KINDS,
-    BuiltOnFirstRead,
     Event,
     JobSequence,
     PlacementTrace,
@@ -125,28 +125,22 @@ class InfeasiblePlacementError(Exception):
 
 
 @dataclass(frozen=True)
-class RunResult(BuiltOnFirstRead):
+class RunResult:
     """Outcome of one simulation run.
 
-    ``per_server`` holds (server id, stretch, closed period) triples;
-    ``critical_count`` is the number of servers closed before release.  A
-    result made by :func:`simulate` builds ``per_server`` on first read (see
-    :class:`~rentsim.core.BuiltOnFirstRead`), as its trace builds ``servers``.
+    ``critical_count`` is the number of servers closed before release.
     """
 
     strategy: str
     total_cost: int
     trace: PlacementTrace
-    per_server: tuple[tuple[int, int, int], ...]
     servers_opened: int
     critical_count: int
 
-    _lazy = "per_server"
-
-    def _build(self, opened_at, released_at, closed_at) -> tuple[tuple[int, int, int], ...]:
-        closed_periods = [0 if c is None else r - c for r, c in zip(released_at, closed_at)]
-        return tuple(zip(range(1, len(opened_at) + 1), map(sub, released_at, opened_at),
-                         closed_periods))
+    @cached_property
+    def per_server(self) -> tuple[tuple[int, int, int], ...]:
+        """(server id, stretch, closed period) for every server, in id order."""
+        return tuple((srv.id, srv.stretch, srv.closed_period) for srv in self.trace.servers)
 
 
 def simulate(
@@ -244,13 +238,11 @@ def simulate(
     del opened_at[0], released_at[0], closed_at[0]
     assert None not in released_at, "every server is released once its jobs depart"
 
-    columns = (opened_at, released_at, closed_at)
-    return RunResult.unread(
-        columns,
+    return RunResult(
         strategy=strategy.name,
         total_cost=sum(released_at) - sum(opened_at),
-        trace=PlacementTrace.unread(columns, sequence=seq, assignments=assignments,
-                                    events=tuple(events)),
+        trace=PlacementTrace.unread((opened_at, released_at, closed_at), sequence=seq,
+                                    assignments=assignments, events=tuple(events)),
         servers_opened=len(opened_at),
         critical_count=sum(c is not None and r > c for r, c in zip(released_at, closed_at)),
     )

@@ -13,14 +13,13 @@ comparison, so no placement ever hinges on float rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .core import CapacityConfig
 from .engine import ArrivalView, Decision
 
 __all__ = [
-    "StrategyConfig",
     "NextFit",
     "ModifiedNextFit",
     "FirstFit",
@@ -28,62 +27,37 @@ __all__ = [
     "BestFit",
     "Harmonic",
     "MoveToFront",
-    "parse_strategy",
     "build_strategy",
 ]
 
 
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Parsed strategy selection: kind, optional rational parameter K, capacity."""
+def build_strategy(text: str, e: int, mu: int | None = None):
+    """Build the strategy a selection string names: nf, mnf:K, ff, mff:K, bf, harmonic:K, mtf.
 
-    kind: str
-    k: Fraction | None
-    e: int
-
-    def __post_init__(self) -> None:
-        spec = _KINDS.get(self.kind)
-        if spec is None:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if spec.admits is None:
-            if self.k is not None:
-                raise ValueError(f"{self.kind} takes no parameter")
-        elif self.k is None:
-            raise ValueError(f"{self.kind} requires a parameter K")
-        else:
-            _checked_k(self.kind, self.k)
-
-    def build(self):
-        cls = _KINDS[self.kind].cls
-        return cls(self.e) if self.k is None else cls(self.e, self.k)
-
-
-def parse_strategy(text: str, e: int, mu: int | None = None) -> StrategyConfig:
-    """Parse a selection string: nf, mnf:K, ff, mff:K, bf, harmonic:K, mtf.
-
-    K is a positive rational like ``11`` or ``8.5``.  For ``mnf`` and
-    ``mff`` a bare kind is allowed when ``mu`` is given: the benchmark
-    convention fills in K = mu+1 and K = mu+7 respectively.
+    K is a positive rational like ``11`` or ``8.5``, range-checked by the
+    constructor.  For ``mnf`` and ``mff`` a bare kind is allowed when ``mu``
+    is given: the benchmark convention fills in K = mu+1 and K = mu+7.
     """
     kind, sep, param = text.strip().partition(":")
     kind = kind.lower()
-    if kind not in _KINDS:
+    spec = _KINDS.get(kind)
+    if spec is None:
         raise ValueError(f"unknown strategy {text!r}")
-    k: Fraction | None = None
     if sep:
         try:
             k = Fraction(param)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad parameter in {text!r}: {exc}") from exc
-    elif (offset := _KINDS[kind].mu_offset) is not None:
-        if mu is None:
-            raise ValueError(f"{kind} requires a parameter, e.g. {kind}:3")
-        k = Fraction(mu + offset)
-    return StrategyConfig(kind=kind, k=k, e=e)
-
-
-def build_strategy(text: str, e: int, mu: int | None = None):
-    return parse_strategy(text, e, mu).build()
+        if spec.admits is None:
+            raise ValueError(f"{kind} takes no parameter")
+        return spec.cls(e, k)
+    if spec.admits is None:
+        return spec.cls(e)
+    if spec.mu_offset is None:
+        raise ValueError(f"{kind} requires a parameter K")
+    if mu is None:
+        raise ValueError(f"{kind} requires a parameter, e.g. {kind}:3")
+    return spec.cls(e, Fraction(mu + spec.mu_offset))
 
 
 def _checked_k(kind: str, k) -> Fraction:
@@ -97,9 +71,7 @@ def _checked_k(kind: str, k) -> Fraction:
 
 class _Base:
     def __init__(self, e: int):
-        if e < 1:
-            raise ValueError(f"capacity must be >= 1, got {e}")
-        self.e = e
+        self.e = CapacityConfig(e).e
 
     def reset(self) -> None:
         """No-op: these strategies keep no state outside the engine's tags."""
@@ -137,18 +109,29 @@ class NextFit(_Base):
         return _next_fit_stream(view, self.e, _OPEN)
 
 
-class ModifiedNextFit(_Base):
-    """Next Fit run separately on small (< E/K) and large (>= E/K) items."""
+class _TwoStreams(_Base):
+    """What MNF and MFF share: the K check, the name and the small (< E/K) test."""
+
+    kind = ""  # the selection kind, which names K's range in ``_KINDS``
 
     def __init__(self, e: int, k: Fraction):
         super().__init__(e)
-        self.k = _checked_k("mnf", k)
-        self.name = f"mnf:{self.k}"
+        self.k = _checked_k(self.kind, k)
+        self.name = f"{self.kind}:{self.k}"
         self._small_below = self.e * self.k.denominator  # size < E/K
 
+    def _opening(self, size: int) -> Decision:
+        """The decision opening the next server of ``size``'s stream, tagged with the stream."""
+        return _OPEN_STREAM["small" if size * self.k.numerator < self._small_below else "large"]
+
+
+class ModifiedNextFit(_TwoStreams):
+    """Next Fit run separately on small (< E/K) and large (>= E/K) items."""
+
+    kind = "mnf"
+
     def place(self, view: ArrivalView) -> Decision:
-        small = view.size * self.k.numerator < self._small_below
-        return _next_fit_stream(view, self.e, _OPEN_STREAM["small" if small else "large"])
+        return _next_fit_stream(view, self.e, self._opening(view.size))
 
 
 class FirstFit(_Base):
@@ -163,22 +146,18 @@ class FirstFit(_Base):
         return _OPEN
 
 
-class ModifiedFirstFit(_Base):
+class ModifiedFirstFit(_TwoStreams):
     """First Fit run separately on small (< E/K) and large (>= E/K) items."""
 
-    def __init__(self, e: int, k: Fraction):
-        super().__init__(e)
-        self.k = _checked_k("mff", k)
-        self.name = f"mff:{self.k}"
-        self._small_below = self.e * self.k.denominator  # size < E/K
+    kind = "mff"
 
     def place(self, view: ArrivalView) -> Decision:
-        small = view.size * self.k.numerator < self._small_below
-        stream = "small" if small else "large"
+        opening = self._opening(view.size)
+        stream = opening.tag
         for srv in view.servers:
             if srv.tag == stream and srv.level + view.size <= self.e:
                 return Decision(srv.id)
-        return _OPEN_STREAM[stream]
+        return opening
 
 
 class BestFit(_Base):
@@ -216,7 +195,7 @@ class Harmonic(_Base):
         return min(self.k, self.e // size)
 
     def place(self, view: ArrivalView) -> Decision:
-        c = min(self.k, self.e // view.size)
+        c = self.size_class(view.size)
         opening = self._opening.get(c) or self._opening.setdefault(c, Decision(None, (), c))
         return _next_fit_stream(view, self.e, opening)
 

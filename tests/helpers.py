@@ -166,7 +166,6 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
         strategy=strategy.name,
         total_cost=sum(r.stretch for r in records),
         trace=trace,
-        per_server=tuple((r.id, r.stretch, r.closed_period) for r in records),
         servers_opened=len(records),
         critical_count=sum(1 for r in records if r.closed_period > 0),
     )
@@ -209,7 +208,7 @@ def reference_capacity_violations(trace) -> list[Violation]:
     for srv in trace.servers:
         members = [jobs_by_id[jid] for jid in srv.jobs if jid in jobs_by_id]
         for t in sorted({job.arrival for job in members}):
-            load = sum(job.size for job in members if job.active_at(t))
+            load = sum(job.size for job in members if job.arrival <= t < job.departure)
             if load > e:
                 violations.append(Violation("capacity-exceeded", time=t, server_id=srv.id,
                                             detail=f"load {load} > {e}"))

@@ -235,8 +235,11 @@ def test_cli_verify_rejects_a_placement_into_a_closed_server(tmp_path, capsys):
          "violation: event-at-wrong-step t=5 job=3 server=2 depart expected at 6\n"),
         # job 2's arrive row is missing
         ("2,arrive,2,", None, "violation: event-missing job=2 arrive\n"),
+        # server 2's release row twice
+        ("8,release,,2", "8,release,,2\n8,release,,2",
+         "violation: event-repeated t=8 server=2 release\n"),
     ],
-    ids=["place-step", "depart-server", "depart-step", "arrive-missing"],
+    ids=["place-step", "depart-server", "depart-step", "arrive-missing", "release-repeated"],
 )
 def test_cli_verify_rejects_a_log_that_disagrees_with_the_sequence(
         tmp_path, capsys, old, new, expected):

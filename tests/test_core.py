@@ -22,9 +22,15 @@ from rentsim import (
     write_sequence_csv,
 )
 from rentsim.core import Event, merge_intervals, union_measure
+from rentsim.engine import trace_from_events
 from rentsim.strategies import NextFit
 
-from helpers import job_sequences, pointwise_span, reference_capacity_violations
+from helpers import (
+    all_strategy_specs,
+    job_sequences,
+    pointwise_span,
+    reference_capacity_violations,
+)
 
 
 def test_job_rejects_bad_fields():
@@ -248,6 +254,51 @@ def test_validate_checks_the_log_against_the_sequence(three_job_instance):
         "event-repeated t=3 job=3 arrive"]
     assert tampered(*(ev for ev in events if ev.kind != "depart")) == [
         f"event-missing job={jid} depart" for jid in (1, 2, 3)]
+
+    # close and release rows: server 1 closes at t=3 and is released at t=6,
+    # server 2 is released at t=5
+    close_1 = events.index(Event(3, "close", None, 1))
+    release_2 = events.index(Event(5, "release", None, 2))
+    assert events[-1] == Event(6, "release", None, 1)
+    assert tampered(*events, Event(6, "release", None, 99)) == [
+        "unknown-server-in-log t=6 server=99 release"]
+    assert tampered(*events[:close_1 + 1], Event(3, "close", None, 99),
+                    *events[close_1 + 1:]) == ["unknown-server-in-log t=3 server=99 close"]
+    assert tampered(*events, events[-1]) == ["event-repeated t=6 server=1 release"]
+    assert tampered(*events[:close_1 + 1], *events[close_1:]) == [
+        "event-repeated t=3 server=1 close"]
+    without_release_2 = events[:release_2] + events[release_2 + 1:]
+    assert tampered(*without_release_2) == ["event-missing server=2 release"]
+    assert tampered(*without_release_2, Event(6, "release", None, 2)) == [
+        "event-at-wrong-step t=6 server=2 release expected at 5"]
+
+
+def _tampered_logs(events):
+    """Every log that drops, duplicates, shifts by one step, or bumps the job or
+    server id of one row, with the tamper named; close rows are left alone,
+    since a log without one of them describes another valid history."""
+    for i, ev in enumerate(events):
+        if ev.kind == "close":
+            continue
+        before, after = events[:i], events[i + 1:]
+        yield "drop", before + after
+        yield "duplicate", before + (ev, ev) + after
+        for shift in (-1, 1):
+            yield f"t{shift:+}", before + (dataclasses.replace(ev, t=ev.t + shift),) + after
+        for field in ("job_id", "server_id"):
+            if getattr(ev, field) is not None:
+                bumped = dataclasses.replace(ev, **{field: getattr(ev, field) + 1})
+                yield f"{field}+1", before + (bumped,) + after
+
+
+@settings(deadline=None)
+@given(job_sequences(max_jobs=8, max_time=8), st.integers(1, 6))
+def test_every_one_row_tamper_of_a_log_is_a_violation(seq, mu):
+    for spec in all_strategy_specs(mu):
+        events = simulate(build_strategy(spec, seq.capacity.e), seq).trace.events
+        assert validate_trace(trace_from_events(seq, events)) == [], spec
+        for tamper, log in _tampered_logs(events):
+            assert validate_trace(trace_from_events(seq, log)), (spec, tamper, log)
 
 
 def test_sequence_csv_round_trip(tmp_path, three_job_instance):

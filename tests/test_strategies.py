@@ -12,7 +12,6 @@ from rentsim import (
     Job,
     JobSequence,
     build_strategy,
-    parse_strategy,
     simulate,
 )
 from rentsim.strategies import (
@@ -31,6 +30,7 @@ from helpers import (
     MoveToFrontOracle,
     NextFitOracle,
     ReplayState,
+    all_strategy_specs,
     job_sequences,
     replay_check_placements,
 )
@@ -39,13 +39,19 @@ from helpers import (
 # ---------------------------------------------------------------- parsing
 
 def test_parse_all_selection_strings():
-    assert parse_strategy("nf", 10).build().name == "nf"
-    assert parse_strategy("ff", 10).build().name == "ff"
-    assert parse_strategy("bf", 10).build().name == "bf"
-    assert parse_strategy("mtf", 10).build().name == "mtf"
-    assert parse_strategy("mnf:2", 10).k == 2
-    assert parse_strategy("mff:8.5", 10).k == Fraction(17, 2)
-    assert parse_strategy("harmonic:10", 1000).k == 10
+    assert build_strategy("nf", 10).name == "nf"
+    assert build_strategy("ff", 10).name == "ff"
+    assert build_strategy("bf", 10).name == "bf"
+    assert build_strategy("mtf", 10).name == "mtf"
+    assert build_strategy("mnf:2", 10).k == 2
+    assert build_strategy("mff:8.5", 10).k == Fraction(17, 2)
+    assert build_strategy("harmonic:10", 1000).k == 10
+    # a strategy's name selects it again: bench rows and build_report parse it
+    names = {build_strategy(spec, 1000).name
+             for mu in (1, 2, 10, Fraction(3, 2)) for spec in all_strategy_specs(mu)}
+    assert "mff:17/2" in names
+    for name in names:
+        assert build_strategy(name, 1000).name == name
 
 
 @pytest.mark.parametrize(
@@ -54,7 +60,7 @@ def test_parse_all_selection_strings():
 )
 def test_parse_rejects_bad_selections(text):
     with pytest.raises(ValueError):
-        parse_strategy(text, 10)
+        build_strategy(text, 10)
 
 
 @pytest.mark.parametrize(
@@ -65,15 +71,15 @@ def test_parse_rejects_bad_selections(text):
 )
 def test_constructors_reject_what_parsing_rejects(cls, k, text):
     with pytest.raises(ValueError) as parsed:
-        parse_strategy(text, 10)
+        build_strategy(text, 10)
     with pytest.raises(ValueError, match=re.escape(str(parsed.value))):
         cls(10, k)
 
 
 def test_parse_fills_parameter_from_mu():
-    assert parse_strategy("mnf", 10, mu=2).k == 3
-    assert parse_strategy("mff", 10, mu=2).k == 9
-    assert parse_strategy("mnf:5", 10, mu=2).k == 5  # explicit K wins
+    assert build_strategy("mnf", 10, mu=2).k == 3
+    assert build_strategy("mff", 10, mu=2).k == 9
+    assert build_strategy("mnf:5", 10, mu=2).k == 5  # explicit K wins
 
 
 # ---------------------------------------------------------------- next fit
