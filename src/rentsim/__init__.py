@@ -17,7 +17,6 @@ from .engine import (
     Decision,
     InfeasiblePlacementError,
     RunResult,
-    ServerView,
     simulate,
 )
 from .strategies import (

@@ -22,7 +22,6 @@ from .core import (
     compute_stats,
     first_overload,
     fraction_json,
-    frozen_record,
     merge_intervals,
     union_measure,
 )
@@ -44,7 +43,7 @@ __all__ = [
 ORACLE_DEFAULT_LIMIT = 8
 
 
-@frozen_record
+@dataclass(frozen=True, slots=True)
 class BoundEntry:
     """One checked inequality between a formula value and a measured cost."""
 

@@ -17,16 +17,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
-import dataclasses
-import inspect
-import sys
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
 __all__ = [
-    "frozen_record",
     "Job",
     "CapacityConfig",
     "JobSequence",
@@ -58,65 +54,7 @@ EVENT_KINDS = {
 }
 
 
-def frozen_record(cls):
-    """``dataclass(frozen=True, slots=True)``, its ``__init__`` storing through the slots.
-
-    The ``__init__`` that dataclasses generates for a frozen class stores each
-    field with ``object.__setattr__``; this one calls each slot descriptor's
-    ``__set__`` instead, which is cheaper and equally bypasses the frozen
-    ``__setattr__``.  Signature, defaults and the ``__post_init__`` call are
-    those of the dataclass ``__init__``; fields, eq, hash, repr, pickling and
-    ``FrozenInstanceError`` on assignment are untouched.  A field this
-    ``__init__`` cannot honour (a ``default_factory``, ``init=False`` or an
-    ``InitVar``) raises TypeError.
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    fields = dataclasses.fields(cls)
-    for f in fields:
-        if f.default_factory is not MISSING or not f.init:
-            raise TypeError(
-                f"frozen_record {cls.__name__}.{f.name}: "
-                "default_factory and init=False are not supported"
-            )
-    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
-    if [p.name for p in params] != [f.name for f in fields]:
-        raise TypeError(
-            f"frozen_record {cls.__name__}: __init__ parameters must be its fields "
-            "in order (InitVar is not supported)"
-        )
-    # generated as dataclasses does: exec'd source, with closure cells for
-    # the slot setters and the defaults
-    closure: dict[str, object] = {}
-    args: list[str] = []
-    body: list[str] = []
-    for p in params:
-        if p.kind is p.KEYWORD_ONLY and "*" not in args:
-            args.append("*")
-        if p.default is p.empty:
-            args.append(p.name)
-        else:
-            closure[f"_dflt_{p.name}"] = p.default
-            args.append(f"{p.name}=_dflt_{p.name}")
-        closure[f"_set_{p.name}"] = cls.__dict__[p.name].__set__
-        body.append(f"  _set_{p.name}(self, {p.name})")
-    if hasattr(cls, "__post_init__"):
-        body.append("  self.__post_init__()")
-    txt = (
-        f"def __create_fn__({', '.join(closure)}):\n"
-        f" def __init__({', '.join(['self', *args])}):\n"
-        + "\n".join(body or ["  pass"])
-        + "\n return __init__"
-    )
-    ns: dict[str, object] = {}
-    exec(txt, sys.modules[cls.__module__].__dict__, ns)
-    init = ns["__create_fn__"](**closure)
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = dict(cls.__init__.__annotations__)
-    cls.__init__ = init
-    return cls
-
-
-@frozen_record
+@dataclass(frozen=True, slots=True)
 class Job:
     """One demand: occupies ``size`` capacity units during [arrival, departure)."""
 
@@ -140,7 +78,7 @@ class Job:
         return self.departure - self.arrival
 
 
-@frozen_record
+@dataclass(frozen=True, slots=True)
 class CapacityConfig:
     """Uniform server capacity in integer units."""
 
@@ -200,7 +138,7 @@ class JobSequence:
         return iter(self.jobs)
 
 
-@frozen_record
+@dataclass(frozen=True, slots=True)
 class SequenceStats:
     """Derived statistics of a sequence; the lower bounds and bound-formula inputs.
 
@@ -282,7 +220,7 @@ def compute_stats(seq: JobSequence) -> SequenceStats:
     )
 
 
-@frozen_record
+@dataclass(frozen=True, slots=True)
 class ServerRecord:
     """One rented server: open interval, optional close mark, and its jobs.
 
@@ -309,7 +247,7 @@ class ServerRecord:
         return self.released_at - self.closed_at
 
 
-@frozen_record
+@dataclass(frozen=True, slots=True)
 class Event:
     """One simulation event; kind is arrive, place, close, depart or release."""
 
@@ -362,7 +300,7 @@ class PlacementTrace:
         return servers
 
 
-@frozen_record
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One broken invariant, naming what failed, when, and which ids."""
 
@@ -530,10 +468,12 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
             violations.append(Violation("event-repeated", time=t, job_id=ev.job_id,
                                         server_id=ev.server_id, detail=kind))
         seen.add(ref)
-        if t != step:
+        if t != step:  # only a close row finds no step: its server was never closed
+            where = ("of a server the trace never closed" if step is None
+                     else f"expected at {step}")
             violations.append(
                 Violation("event-at-wrong-step", time=t, job_id=ev.job_id,
-                          server_id=ev.server_id, detail=f"{kind} expected at {step}"))
+                          server_id=ev.server_id, detail=f"{kind} {where}"))
         if kind == "depart" and ev.server_id != (placed_in := assignments.get(ref)):
             violations.append(
                 Violation("depart-from-wrong-server", time=t, job_id=ref,

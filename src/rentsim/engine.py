@@ -8,19 +8,20 @@ to violate by construction.  Departures reach strategies only indirectly,
 as level changes of (or the disappearance of) servers in later views.
 
 Views are kept per server change, not built per arrival: the engine holds
-one :class:`ServerView` per placeable server and replaces it only when that
-server receives a job, loses a job while it stays open, or is closed or
-released.  An arrival's view is a copy of that table, and a step's releases
-come from the departures that empty a server, so no step scans every live
-server.
+one ``(id, level, tag)`` tuple per placeable server and replaces it only
+when that server receives a job, loses a job while it stays open, or is
+closed or released.  An arrival's view is a copy of that table, and a
+step's releases come from the departures that empty a server, so no step
+scans every live server.
 
 Per-server state is plain lists indexed by server id (opening time, release
 and close times, level, tag), not one object per server.  Sizes are at least
 1, so a server is empty exactly when its level is 0; every id a strategy
 names is checked against the placeable servers, never by list bounds.  The
 step schedule is the sequence's cached
-:attr:`~rentsim.core.JobSequence.timeline`, shared by every run over it, and
-views and decisions are ``frozen_record`` values built positionally.  The
+:attr:`~rentsim.core.JobSequence.timeline`, shared by every run over it.
+Views and decisions are named tuples, and each server in a view is a plain
+tuple: the cheapest values to build and to read on every arrival.  The
 result's cost, server count, critical count, assignments and events are
 computed when the run ends.  The trace's ``ServerRecord``s are built on
 first read from the time lists (a server's jobs are the ``assignments``
@@ -34,20 +35,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Protocol
+from typing import Hashable, NamedTuple, Protocol
 
-from .core import (
-    EVENT_KINDS,
-    Event,
-    JobSequence,
-    PlacementTrace,
-    ServerRecord,
-    frozen_record,
-)
+from .core import EVENT_KINDS, Event, JobSequence, PlacementTrace, ServerRecord
 
 __all__ = [
     "ArrivalView",
-    "ServerView",
     "Decision",
     "RunResult",
     "InfeasiblePlacementError",
@@ -61,23 +54,13 @@ __all__ = [
 EVENT_HEADER = ["t", "kind", "job_id", "server_id"]
 
 
-@frozen_record
-class ServerView:
-    """What a strategy may know about one open server.
+class ArrivalView(NamedTuple):
+    """The arriving job and the current placeable servers, in opening order.
 
-    ``tag`` is an opaque value owned by the strategy: it is set via
+    Each entry of ``servers`` is a plain ``(id, level, tag)`` tuple.  ``tag``
+    is an opaque value owned by the strategy: it is set via
     :class:`Decision` and echoed back unchanged on every later view.
     Strategies use it for stream labels, size classes, or recency stamps.
-    """
-
-    id: int
-    level: int
-    tag: Hashable = None
-
-
-@frozen_record
-class ArrivalView:
-    """The arriving job and the current placeable servers, in opening order.
 
     Contains no departure or length information by construction.  Closed
     servers (Next Fit family) are excluded: they are never valid targets.
@@ -86,11 +69,10 @@ class ArrivalView:
     job_id: int
     size: int
     time: int
-    servers: tuple[ServerView, ...]
+    servers: tuple[tuple[int, int, Hashable], ...]
 
 
-@frozen_record
-class Decision:
+class Decision(NamedTuple):
     """Strategy output: place into an open server, or open a new one.
 
     ``place_in`` of ``None`` means open a new server.  ``close`` lists
@@ -108,8 +90,6 @@ class PlacementStrategy(Protocol):
     """Interface every placement strategy implements."""
 
     name: str
-
-    def reset(self) -> None: ...
 
     def place(self, view: ArrivalView) -> Decision: ...
 
@@ -161,7 +141,7 @@ def simulate(
     e = seq.capacity.e
     place = strategy.place
     # module names used per job, bound once
-    server_view, arrival_view, event = ServerView, ArrivalView, Event
+    arrival_view, event = ArrivalView, Event
     # per-server state, indexed by server id; ids count up from 1 in opening
     # order, so index 0 is padding.  Sizes are >= 1: a server is empty
     # exactly when its level is 0.
@@ -173,7 +153,7 @@ def simulate(
     # placeable servers only; insertion order == opening order, and replacing
     # an entry keeps its place.  Every id check goes through it: plain list
     # indexing would accept 0, a negative id or a closed or released server.
-    views: dict[int, ServerView] = {}
+    views: dict[int, tuple] = {}
     assignments: dict[int, int] = {}
     events: list[Event] = []
 
@@ -188,7 +168,7 @@ def simulate(
                 if not lvl:
                     emptied.append(sid)
                 elif closed_at[sid] is None:
-                    views[sid] = server_view(sid, lvl, tag[sid])
+                    views[sid] = (sid, lvl, tag[sid])
             if len(emptied) > 1:
                 emptied.sort()  # ids ascend in opening order
             for sid in emptied:
@@ -230,7 +210,7 @@ def simulate(
                 level[sid] += job.size
                 if decision.tag is not None:
                     tag[sid] = decision.tag
-            views[sid] = server_view(sid, level[sid], tag[sid])
+            views[sid] = (sid, level[sid], tag[sid])
             assignments[job.id] = sid
             if record_events:
                 events.append(event(t, "place", job.id, sid))

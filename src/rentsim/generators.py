@@ -14,10 +14,11 @@ co-simulates the target on each phase's arrivals.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .core import CapacityConfig, Job, JobSequence, frozen_record
+from .core import CapacityConfig, Job, JobSequence
 from .engine import simulate
 from .strategies import build_strategy
 
@@ -83,7 +84,7 @@ class SplitMix64:
 _FULL_RANGE = SplitMix64.ranges((0, _MASK64))
 
 
-@frozen_record
+@dataclass(frozen=True, slots=True)
 class UniformParams:
     """Uniform-random instance parameters.
 
@@ -129,7 +130,7 @@ def gen_uniform(params: UniformParams) -> JobSequence:
     return JobSequence(jobs, CapacityConfig(params.e))
 
 
-@frozen_record
+@dataclass(frozen=True, slots=True)
 class AdversaryParams:
     """Adversarial phase-construction parameters.
 

@@ -2,9 +2,10 @@
 
 Every strategy is a pure function of the :class:`ArrivalView` it receives:
 whatever ordering or stream bookkeeping it needs lives in the per-server
-tags that the engine stores and echoes back.  That keeps strategies
-trivially resettable and makes it structurally impossible for them to
-remember departure times.
+tags that the engine stores and echoes back.  So one strategy object can
+serve any number of runs, and it is structurally impossible for it to
+remember departure times.  Each placeable server in a view is an
+``(id, level, tag)`` tuple, unpacked in the scan.
 
 Size thresholds (Modified Next Fit, Modified First Fit, Harmonic classes)
 are exact: with integer sizes and a rational K each reduces to an integer
@@ -73,9 +74,6 @@ class _Base:
     def __init__(self, e: int):
         self.e = CapacityConfig(e).e
 
-    def reset(self) -> None:
-        """No-op: these strategies keep no state outside the engine's tags."""
-
 
 # the decisions that take no parameter, shared by every call
 _OPEN = Decision()
@@ -87,17 +85,18 @@ def _next_fit_stream(view: ArrivalView, e: int, opening: Decision) -> Decision:
 
     ``opening`` is the shared decision that opens the stream's next server.
     """
-    tag = opening.tag
+    stream = opening.tag
     current = None
-    for srv in view.servers:
-        if srv.tag == tag:
-            assert current is None, f"next-fit stream {tag!r} has two open servers"
-            current = srv
+    for sid, level, tag in view.servers:
+        if tag == stream:
+            assert current is None, f"next-fit stream {stream!r} has two open servers"
+            current = sid, level
     if current is None:
         return opening
-    if current.level + view.size <= e:
-        return Decision(current.id)
-    return Decision(None, (current.id,), tag)
+    sid, level = current
+    if level + view.size <= e:
+        return Decision(sid)
+    return Decision(None, (sid,), stream)
 
 
 class NextFit(_Base):
@@ -140,9 +139,10 @@ class FirstFit(_Base):
     name = "ff"
 
     def place(self, view: ArrivalView) -> Decision:
-        for srv in view.servers:
-            if srv.level + view.size <= self.e:
-                return Decision(srv.id)
+        room = self.e - view.size
+        for sid, level, _ in view.servers:
+            if level <= room:
+                return Decision(sid)
         return _OPEN
 
 
@@ -154,9 +154,10 @@ class ModifiedFirstFit(_TwoStreams):
     def place(self, view: ArrivalView) -> Decision:
         opening = self._opening(view.size)
         stream = opening.tag
-        for srv in view.servers:
-            if srv.tag == stream and srv.level + view.size <= self.e:
-                return Decision(srv.id)
+        room = self.e - view.size
+        for sid, level, tag in view.servers:
+            if tag == stream and level <= room:
+                return Decision(sid)
         return opening
 
 
@@ -169,10 +170,10 @@ class BestFit(_Base):
         room = self.e - view.size
         best = None
         best_level = -1
-        for srv in view.servers:  # opening order; strict > keeps the earlier on ties
-            if best_level < srv.level <= room:
-                best = srv.id
-                best_level = srv.level
+        for sid, level, _ in view.servers:  # opening order; strict > keeps the earlier on ties
+            if best_level < level <= room:
+                best = sid
+                best_level = level
         return _OPEN if best is None else Decision(best)
 
 
@@ -215,12 +216,11 @@ class MoveToFront(_Base):
         newest = 0  # stamps start at 1
         best = None
         best_tag = 0
-        for srv in view.servers:  # strict > keeps the earlier server on equal tags
-            tag = srv.tag
+        for sid, level, tag in view.servers:  # strict > keeps the earlier server on equal tags
             if tag > newest:
                 newest = tag
-            if tag > best_tag and srv.level <= room:
-                best = srv.id
+            if tag > best_tag and level <= room:
+                best = sid
                 best_tag = tag
         return Decision(best, (), newest + 1)
 

@@ -26,7 +26,6 @@ from rentsim import (
     PlacementTrace,
     RunResult,
     ServerRecord,
-    ServerView,
 )
 from rentsim.bounds import BoundEntry
 from rentsim.core import Event, Violation, merge_intervals
@@ -112,9 +111,7 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
                 size=job.size,
                 time=t,
                 servers=tuple(
-                    ServerView(s.id, s.level, s.tag)
-                    for s in live.values()
-                    if s.closed_at is None
+                    (s.id, s.level, s.tag) for s in live.values() if s.closed_at is None
                 ),
             )
             decision = strategy.place(view)

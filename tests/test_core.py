@@ -271,6 +271,9 @@ def test_validate_checks_the_log_against_the_sequence(three_job_instance):
     assert tampered(*without_release_2) == ["event-missing server=2 release"]
     assert tampered(*without_release_2, Event(6, "release", None, 2)) == [
         "event-at-wrong-step t=6 server=2 release expected at 5"]
+    assert tampered(*events[:close_1 + 1], Event(3, "close", None, 2),
+                    *events[close_1 + 1:]) == [
+        "event-at-wrong-step t=3 server=2 close of a server the trace never closed"]
 
 
 def _tampered_logs(events):

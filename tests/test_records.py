@@ -1,20 +1,17 @@
-"""``core.frozen_record`` against plain ``dataclass(frozen=True, slots=True)`` twins.
+"""The contract of rentsim's value records.
 
-Each decorated class is compiled a second time from its own source under the
-plain decorator, so the twin has the same body, methods and
-``__post_init__``; everything observable except the speed of ``__init__``
-must agree.
+Every record is immutable and slotted, built the same way by keyword and by
+position, hashable and picklable.  The cold records are frozen slotted
+dataclasses; ``ArrivalView`` and ``Decision``, built once per arrival, are
+named tuples.
 """
 
 from __future__ import annotations
 
-import __future__
 import dataclasses
-import inspect
 import pickle
 import re
-import sys
-from dataclasses import InitVar, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,12 +27,11 @@ from rentsim import (
     Job,
     SequenceStats,
     ServerRecord,
-    ServerView,
     UniformParams,
 )
-from rentsim.core import Event, Violation, frozen_record
+from rentsim.core import Event, Violation
 
-# every frozen record with positional arguments for all of its fields
+# every record with positional arguments for all of its fields
 RECORDS = {
     Job: (1, 3, 0, 5),
     CapacityConfig: (10,),
@@ -43,102 +39,81 @@ RECORDS = {
     ServerRecord: (1, 0, 6, 3, (1, 2)),
     Event: (3, "place", 1, 2),
     Violation: ("capacity-exceeded", 2, None, 1, "load 11 > 10"),
-    ServerView: (1, 6, "small"),
-    ArrivalView: (4, 3, 7, (ServerView(1, 6), ServerView(2, 1, 9))),
+    ArrivalView: (4, 3, 7, ((1, 6, None), (2, 1, 9))),
     Decision: (2, (1,), 5),
     BoundEntry: ("lb_span", Fraction(5), Fraction(7), True),
     UniformParams: (100, 1000, 1000, 10, 7, 2, 500),
     AdversaryParams: (Fraction(1, 4), 3, 2, 1, "ff", 16),
 }
+NAMED_TUPLES = {ArrivalView, Decision}
 SRC = Path(rentsim.__file__).parent
 
 
-def plain_twin(cls):
-    """``cls`` recompiled from its source under ``dataclass(frozen=True, slots=True)``."""
-    source = inspect.getsource(cls).replace(
-        "@frozen_record", "@dataclass(frozen=True, slots=True)", 1
-    )
-    namespace = dict(vars(sys.modules[cls.__module__]), dataclass=dataclasses.dataclass)
-    code = compile(source, f"<twin of {cls.__name__}>", "exec",
-                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
-    exec(code, namespace)
-    return namespace[cls.__name__]
-
-
-def field_values(obj) -> tuple:
-    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
-
-
-def test_every_frozen_slotted_dataclass_is_a_frozen_record():
-    declared = {
-        (path.stem, name)
-        for path in SRC.glob("*.py")
-        for name in re.findall(r"@frozen_record\nclass (\w+)", path.read_text())
-    }
-    assert declared == {(cls.__module__.rsplit(".", 1)[1], cls.__name__) for cls in RECORDS}
-    assert not [p.name for p in SRC.glob("*.py") if "slots=True)\nclass" in p.read_text()]
+def fields_and_defaults(cls) -> list[tuple[str, object]]:
+    """Each field's name and default (``dataclasses.MISSING`` when it has none)."""
+    if cls in NAMED_TUPLES:
+        return [(name, cls._field_defaults.get(name, dataclasses.MISSING))
+                for name in cls._fields]
+    return [(f.name, f.default) for f in dataclasses.fields(cls)]
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_frozen_record_matches_plain_dataclass(cls):
-    twin = plain_twin(cls)
+def test_record_keeps_its_contract(cls):
     args = RECORDS[cls]
-    fields, twin_fields = dataclasses.fields(cls), dataclasses.fields(twin)
-    assert [(f.name, f.type, f.default) for f in fields] == [
-        (f.name, f.type, f.default) for f in twin_fields
-    ]
-    assert inspect.signature(cls) == inspect.signature(twin)
-    assert inspect.signature(cls.__init__) == inspect.signature(twin.__init__)
-    assert cls.__slots__ == twin.__slots__
-
-    obj, twin_obj = cls(*args), twin(*args)
-    assert field_values(obj) == field_values(twin_obj) == args
+    fields = fields_and_defaults(cls)
+    obj = cls(*args)
+    assert tuple(getattr(obj, name) for name, _ in fields) == args
     assert not hasattr(obj, "__dict__")
-    assert repr(obj) == repr(twin_obj)
-    by_keyword = cls(**{f.name: value for f, value in zip(fields, args)})
-    assert by_keyword == obj and hash(by_keyword) == hash(obj) == hash(twin_obj)
-    required = tuple(v for f, v in zip(fields, args) if f.default is dataclasses.MISSING)
-    assert field_values(cls(*required)) == field_values(twin(*required))
+
+    by_keyword = cls(**{name: value for (name, _), value in zip(fields, args)})
+    assert by_keyword == obj and hash(by_keyword) == hash(obj)
+    required = tuple(v for (_, d), v in zip(fields, args) if d is dataclasses.MISSING)
+    assert tuple(getattr(cls(*required), name) for name, _ in fields) == (
+        required + tuple(d for _, d in fields[len(required):]))
     if len(required) < len(args):
         assert cls(*required) != obj
 
-    for f in fields:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, f.name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(obj, f.name)
+    frozen = AttributeError if cls in NAMED_TUPLES else FrozenInstanceError
+    for name, _ in fields:
+        with pytest.raises(frozen):
+            setattr(obj, name, None)
+        with pytest.raises(frozen):
+            delattr(obj, name)
     again = pickle.loads(pickle.dumps(obj))
     assert again == obj and type(again) is cls
 
 
-@pytest.mark.parametrize("cls, args", [
-    (Job, (1, 0, 0, 5)),
-    (Job, (1, 3, -1, 4)),
-    (Job, (1, 3, 5, 5)),
-    (CapacityConfig, (0,)),
-    (UniformParams, (0, 1000, 1000, 10, 7)),
-    (UniformParams, (10, 1000, 10, 10, 7)),
-    (UniformParams, (10, 10, 1000, 10, 7, 1, 11)),
-], ids=lambda v: getattr(v, "__name__", None))
-def test_frozen_record_post_init_still_rejects(cls, args):
-    with pytest.raises(ValueError) as twin_error:
-        plain_twin(cls)(*args)
-    with pytest.raises(ValueError, match=re.escape(str(twin_error.value))):
+@pytest.mark.parametrize("cls, args, message", [
+    (Job, (1, 0, 0, 5), "job 1: size must be >= 1, got 0"),
+    (Job, (1, 3, -1, 4), "job 1: arrival must be >= 0, got -1"),
+    (Job, (1, 3, 5, 5), "job 1: departure 5 must exceed arrival 5"),
+    (CapacityConfig, (0,), "capacity must be >= 1, got 0"),
+    (UniformParams, (0, 1000, 1000, 10, 7), "n must be >= 1, got 0"),
+    (UniformParams, (10, 1000, 10, 10, 7), "t must exceed mu, got t=10 mu=10"),
+    (UniformParams, (10, 10, 1000, 10, 7, 1, 11), "bad size range [1, 11] for capacity 10"),
+], ids=["Job-size", "Job-arrival", "Job-departure", "CapacityConfig-e", "UniformParams-n",
+        "UniformParams-t", "UniformParams-size-range"])
+def test_post_init_rejects_with_its_message(cls, args, message):
+    with pytest.raises(ValueError) as error:
         cls(*args)
+    assert str(error.value) == message
 
 
-def test_frozen_record_post_init_may_normalise_a_field():
+def test_post_init_may_normalise_a_field():
     params = AdversaryParams("1/4", 3, 2, 1, "ff", 16)
     assert params.eps == Fraction(1, 4) and type(params.eps) is Fraction
 
 
-@pytest.mark.parametrize("annotation, value", [
-    (list, field(default_factory=list)),
-    (int, field(default=0, init=False)),
-    (InitVar[int], 0),
-], ids=["default_factory", "init=False", "InitVar"])
-def test_frozen_record_refuses_fields_it_cannot_store(annotation, value):
-    body = type("Refused", (), {"__annotations__": {"x": annotation}, "x": value,
-                                "__module__": __name__})
-    with pytest.raises(TypeError, match="frozen_record"):
-        frozen_record(body)
+def test_every_dataclass_is_frozen_and_no_source_is_executed():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    decorators = [d for text in sources.values()
+                  for d in re.findall(r"@dataclass(?:\([^)]*\))?", text)]
+    assert decorators and all("frozen=True" in d for d in decorators), decorators
+    slotted = {
+        (stem, name)
+        for stem, text in sources.items()
+        for name in re.findall(r"@dataclass\(frozen=True, slots=True\)\nclass (\w+)", text)
+    }
+    assert slotted == {(cls.__module__.rsplit(".", 1)[1], cls.__name__)
+                       for cls in RECORDS if cls not in NAMED_TUPLES}
+    assert not [stem for stem, text in sources.items() if "exec(" in text]
