@@ -83,7 +83,8 @@ def test_record_keeps_its_contract(cls):
     assert again == obj and type(again) is cls
 
 
-@pytest.mark.parametrize("cls, args, message", [
+# each case's id is the one pytest gives it by position: Job-args0, Job-args1, ...
+REJECTED = [
     (Job, (1, 0, 0, 5), "job 1: size must be >= 1, got 0"),
     (Job, (1, 3, -1, 4), "job 1: arrival must be >= 0, got -1"),
     (Job, (1, 3, 5, 5), "job 1: departure 5 must exceed arrival 5"),
@@ -91,15 +92,18 @@ def test_record_keeps_its_contract(cls):
     (UniformParams, (0, 1000, 1000, 10, 7), "n must be >= 1, got 0"),
     (UniformParams, (10, 1000, 10, 10, 7), "t must exceed mu, got t=10 mu=10"),
     (UniformParams, (10, 10, 1000, 10, 7, 1, 11), "bad size range [1, 11] for capacity 10"),
-], ids=["Job-size", "Job-arrival", "Job-departure", "CapacityConfig-e", "UniformParams-n",
-        "UniformParams-t", "UniformParams-size-range"])
-def test_post_init_rejects_with_its_message(cls, args, message):
+]
+
+
+@pytest.mark.parametrize("cls, args, message", REJECTED,
+                         ids=[f"{cls.__name__}-args{i}" for i, (cls, _, _) in enumerate(REJECTED)])
+def test_frozen_record_post_init_still_rejects(cls, args, message):
     with pytest.raises(ValueError) as error:
         cls(*args)
     assert str(error.value) == message
 
 
-def test_post_init_may_normalise_a_field():
+def test_frozen_record_post_init_may_normalise_a_field():
     params = AdversaryParams("1/4", 3, 2, 1, "ff", 16)
     assert params.eps == Fraction(1, 4) and type(params.eps) is Fraction
 
