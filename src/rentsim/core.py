@@ -20,7 +20,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "Job",
@@ -247,8 +247,7 @@ class ServerRecord:
         return self.released_at - self.closed_at
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One simulation event; kind is arrive, place, close, depart or release."""
 
     t: int
@@ -441,14 +440,13 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
     logged: dict[str, set[int]] = {kind: set() for kind in EVENT_KINDS}
     assignments = trace.assignments
     prev: tuple[int, int] | None = None
-    for ev in trace.events:
-        t, kind = ev.t, ev.kind
+    for t, kind, job_id, server_id in trace.events:
         key = (t, EVENT_KINDS[kind][0])
         if prev is not None and key < prev:
             violations.append(Violation("event-log-out-of-order", time=t, detail=kind))
         prev = key
         if kind == "release" or kind == "close":  # these name only a server
-            ref = ev.server_id
+            ref = server_id
             srv = servers_by_id.get(ref)
             if srv is None:
                 violations.append(
@@ -456,7 +454,7 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
                 continue
             step = srv.released_at if kind == "release" else srv.closed_at
         else:
-            ref = ev.job_id
+            ref = job_id
             job = jobs_by_id.get(ref)
             if job is None:
                 violations.append(
@@ -465,19 +463,19 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
             step = job.departure if kind == "depart" else job.arrival
         seen = logged[kind]
         if ref in seen:
-            violations.append(Violation("event-repeated", time=t, job_id=ev.job_id,
-                                        server_id=ev.server_id, detail=kind))
+            violations.append(Violation("event-repeated", time=t, job_id=job_id,
+                                        server_id=server_id, detail=kind))
         seen.add(ref)
         if t != step:  # only a close row finds no step: its server was never closed
             where = ("of a server the trace never closed" if step is None
                      else f"expected at {step}")
             violations.append(
-                Violation("event-at-wrong-step", time=t, job_id=ev.job_id,
-                          server_id=ev.server_id, detail=f"{kind} {where}"))
-        if kind == "depart" and ev.server_id != (placed_in := assignments.get(ref)):
+                Violation("event-at-wrong-step", time=t, job_id=job_id,
+                          server_id=server_id, detail=f"{kind} {where}"))
+        if kind == "depart" and server_id != (placed_in := assignments.get(ref)):
             violations.append(
                 Violation("depart-from-wrong-server", time=t, job_id=ref,
-                          server_id=ev.server_id, detail=f"placed in {placed_in}"))
+                          server_id=server_id, detail=f"placed in {placed_in}"))
     for kind in ("arrive", "place", "depart"):
         if len(logged[kind]) != len(jobs_by_id):
             for jid in sorted(jobs_by_id.keys() - logged[kind]):

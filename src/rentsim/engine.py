@@ -20,14 +20,17 @@ and close times, level, tag), not one object per server.  Sizes are at least
 names is checked against the placeable servers, never by list bounds.  The
 step schedule is the sequence's cached
 :attr:`~rentsim.core.JobSequence.timeline`, shared by every run over it.
-Views and decisions are named tuples, and each server in a view is a plain
-tuple: the cheapest values to build and to read on every arrival.  The
-result's cost, server count, critical count, assignments and events are
-computed when the run ends.  The trace's ``ServerRecord``s are built on
-first read from the time lists (a server's jobs are the ``assignments``
-entries naming it, in insertion order), and ``RunResult.per_server`` is
-derived from those records on its first read, so a caller that reads only
-the cost never pays for either.
+Views, decisions and events are named tuples, built per row by
+``tuple.__new__`` in C, and each server in a view is a plain tuple: the
+cheapest values to build and to read on every arrival.  A named tuple's
+field reads are slower than slot reads, so ``validate_trace`` unpacks each
+log row and :func:`trace_from_events` reads fields beyond a row's kind only
+on the rows it keeps.  The result's cost, server count, critical count,
+assignments and events are computed when the run ends.  The trace's
+``ServerRecord``s are built on first read from the time lists (a server's
+jobs are the ``assignments`` entries naming it, in insertion order), and
+``RunResult.per_server`` is derived from those records on its first read,
+so a caller that reads only the cost never pays for either.
 """
 
 from __future__ import annotations
@@ -140,8 +143,9 @@ def simulate(
     """
     e = seq.capacity.e
     place = strategy.place
-    # module names used per job, bound once
-    arrival_view, event = ArrivalView, Event
+    # per-row records are built by tuple.__new__ in C, not by the named
+    # tuples' Python-level __new__
+    new = tuple.__new__
     # per-server state, indexed by server id; ids count up from 1 in opening
     # order, so index 0 is padding.  Sizes are >= 1: a server is empty
     # exactly when its level is 0.
@@ -164,7 +168,7 @@ def simulate(
                 sid = assignments[job.id]
                 lvl = level[sid] = level[sid] - job.size
                 if record_events:
-                    events.append(event(t, "depart", job.id, sid))
+                    events.append(new(Event, (t, "depart", job.id, sid)))
                 if not lvl:
                     emptied.append(sid)
                 elif closed_at[sid] is None:
@@ -175,12 +179,12 @@ def simulate(
                 released_at[sid] = t
                 views.pop(sid, None)
                 if record_events:
-                    events.append(event(t, "release", None, sid))
+                    events.append(new(Event, (t, "release", None, sid)))
 
         for job in arrivals:
             if record_events:
-                events.append(event(t, "arrive", job.id, None))
-            decision = place(arrival_view(job.id, job.size, t, tuple(views.values())))
+                events.append(new(Event, (t, "arrive", job.id, None)))
+            decision = place(new(ArrivalView, (job.id, job.size, t, tuple(views.values()))))
             for cid in decision.close:
                 if cid not in views:
                     raise InfeasiblePlacementError(
@@ -189,7 +193,7 @@ def simulate(
                 closed_at[cid] = t
                 del views[cid]
                 if record_events:
-                    events.append(event(t, "close", None, cid))
+                    events.append(new(Event, (t, "close", None, cid)))
             sid = decision.place_in
             if sid is None:
                 sid = len(level)
@@ -213,7 +217,7 @@ def simulate(
             views[sid] = (sid, level[sid], tag[sid])
             assignments[job.id] = sid
             if record_events:
-                events.append(event(t, "place", job.id, sid))
+                events.append(new(Event, (t, "place", job.id, sid)))
 
     del opened_at[0], released_at[0], closed_at[0]
     assert None not in released_at, "every server is released once its jobs depart"
@@ -233,7 +237,7 @@ def write_event_csv(events, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EVENT_HEADER)
-        writer.writerows((ev.t, ev.kind, ev.job_id, ev.server_id) for ev in events)
+        writer.writerows(events)
 
 
 def read_event_csv(path) -> tuple[Event, ...]:
@@ -244,6 +248,7 @@ def read_event_csv(path) -> tuple[Event, ...]:
     ValueError naming its line number.
     """
     events: list[Event] = []
+    new = tuple.__new__
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -268,14 +273,8 @@ def read_event_csv(path) -> tuple[Event, ...]:
                     f"line {reader.line_num}: {kind} event without a {missing} id"
                 )
             try:
-                events.append(
-                    Event(
-                        int(t),
-                        kind,
-                        int(job_id) if job_id else None,
-                        int(server_id) if server_id else None,
-                    )
-                )
+                events.append(new(Event, (int(t), kind, int(job_id) if job_id else None,
+                                          int(server_id) if server_id else None)))
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
     return tuple(events)
@@ -289,15 +288,17 @@ def trace_from_events(seq: JobSequence, events: tuple[Event, ...]) -> PlacementT
     jobs: dict[int, list[int]] = {}
     assignments: dict[int, int] = {}
     for ev in events:
-        if ev.kind == "place":
-            if ev.server_id not in opened_at:
-                opened_at[ev.server_id] = ev.t
-                jobs[ev.server_id] = []
-            jobs[ev.server_id].append(ev.job_id)
-            assignments[ev.job_id] = ev.server_id
-        elif ev.kind == "close":
+        kind = ev.kind  # arrive and depart rows, most of the log, need no other field
+        if kind == "place":
+            sid = ev.server_id
+            if sid not in opened_at:
+                opened_at[sid] = ev.t
+                jobs[sid] = []
+            jobs[sid].append(ev.job_id)
+            assignments[ev.job_id] = sid
+        elif kind == "close":
             closed_at[ev.server_id] = ev.t
-        elif ev.kind == "release":
+        elif kind == "release":
             released[ev.server_id] = ev.t
     records = tuple(
         ServerRecord(

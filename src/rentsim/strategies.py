@@ -75,6 +75,9 @@ class _Base:
         self.e = CapacityConfig(e).e
 
 
+# per-arrival decisions are built by tuple.__new__ in C, not by Decision's
+# Python-level __new__
+_new = tuple.__new__
 # the decisions that take no parameter, shared by every call
 _OPEN = Decision()
 _OPEN_STREAM = {stream: Decision(None, (), stream) for stream in ("small", "large")}
@@ -95,7 +98,7 @@ def _next_fit_stream(view: ArrivalView, e: int, opening: Decision) -> Decision:
         return opening
     sid, level = current
     if level + view.size <= e:
-        return Decision(sid)
+        return _new(Decision, (sid, (), None))
     return Decision(None, (sid,), stream)
 
 
@@ -142,7 +145,7 @@ class FirstFit(_Base):
         room = self.e - view.size
         for sid, level, _ in view.servers:
             if level <= room:
-                return Decision(sid)
+                return _new(Decision, (sid, (), None))
         return _OPEN
 
 
@@ -157,7 +160,7 @@ class ModifiedFirstFit(_TwoStreams):
         room = self.e - view.size
         for sid, level, tag in view.servers:
             if tag == stream and level <= room:
-                return Decision(sid)
+                return _new(Decision, (sid, (), None))
         return opening
 
 
@@ -174,7 +177,7 @@ class BestFit(_Base):
             if best_level < level <= room:
                 best = sid
                 best_level = level
-        return _OPEN if best is None else Decision(best)
+        return _OPEN if best is None else _new(Decision, (best, (), None))
 
 
 class Harmonic(_Base):
@@ -222,7 +225,7 @@ class MoveToFront(_Base):
             if tag > best_tag and level <= room:
                 best = sid
                 best_tag = tag
-        return Decision(best, (), newest + 1)
+        return _new(Decision, (best, (), newest + 1))
 
 
 class _Kind(NamedTuple):

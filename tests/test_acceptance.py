@@ -307,11 +307,14 @@ def test_criterion_08b_best_fit_leads_long_jobs():
 
 
 def test_criterion_08c_next_fit_near_front_on_unit_lengths():
-    # With unit lengths and departures resolved before arrivals, every time
-    # step is an isolated packing instance, and Next Fit opens at least as
-    # many servers per step as any list-scanning Any Fit strategy; the
-    # claimed near-tie is therefore unreachable in this time model and this
-    # check is expected to fail.  It is asserted as stated regardless.
+    # The claimed near-tie does not hold at this cell, and this check is
+    # expected to fail; it is asserted as stated regardless.  Job density,
+    # more than the unit time grid, sets the gap: 10^4 jobs over T=10^3 put
+    # about ten arrivals in each step, and nf's mean ratio is 1.105x mtf's;
+    # over T=10^4 (about one arrival per step) it is 1.010x, inside the 2%
+    # slack.  Arrivals on a grid 100 times finer, each job lasting exactly
+    # 100 ticks, still give 1.078x at T=10^3 (1.106x on the unit grid,
+    # seeds 1-5).
     ratios = _cell_ratios(("nf", "mtf"), t=1000, mus=(1,))
     nf, mtf = ratios[(1, "nf")], ratios[(1, "mtf")]
     ok = nf <= mtf * Fraction(102, 100)

@@ -257,7 +257,8 @@ def test_cli_verify_rejects_a_log_that_disagrees_with_the_sequence(
 @pytest.mark.parametrize(
     "row, message",
     [("1,shut,,1", "line 2: unknown event kind 'shut'"),
-     ("1,place,1", "line 2: expected 4 fields, got 3")],
+     ("1,place,1", "line 2: expected 4 fields, got 3"),
+     ("1,arrive,,", "line 2: arrive event without a job id")],
 )
 def test_cli_verify_malformed_event_row_exits_2(tmp_path, capsys, row, message):
     seq_path, ev_path = tmp_path / "ex.csv", tmp_path / "ev.csv"
@@ -278,6 +279,16 @@ def test_cli_verify_event_row_without_its_ids_exits_2(tmp_path, capsys):
                        encoding="utf-8")
     assert main(["verify", str(seq_path), str(ev_path)]) == 2
     assert capsys.readouterr().err == "error: line 3: place event without a server id\n"
+
+
+def test_cli_verify_bad_event_header_exits_2(tmp_path, capsys):
+    seq_path, ev_path = tmp_path / "ex.csv", tmp_path / "ev.csv"
+    _write_three_job_instance(seq_path)
+    ev_path.write_text("t,kind,job,server_id\n0,arrive,1,\n", encoding="utf-8")
+    assert main(["verify", str(seq_path), str(ev_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad event header ['t', 'kind', 'job', 'server_id'], "
+        "expected ['t', 'kind', 'job_id', 'server_id']\n")
 
 
 @pytest.mark.parametrize("selection, message", [

@@ -287,10 +287,10 @@ def _tampered_logs(events):
         yield "drop", before + after
         yield "duplicate", before + (ev, ev) + after
         for shift in (-1, 1):
-            yield f"t{shift:+}", before + (dataclasses.replace(ev, t=ev.t + shift),) + after
+            yield f"t{shift:+}", before + (ev._replace(t=ev.t + shift),) + after
         for field in ("job_id", "server_id"):
             if getattr(ev, field) is not None:
-                bumped = dataclasses.replace(ev, **{field: getattr(ev, field) + 1})
+                bumped = ev._replace(**{field: getattr(ev, field) + 1})
                 yield f"{field}+1", before + (bumped,) + after
 
 

@@ -397,13 +397,31 @@ def test_next_fit_has_at_most_one_placeable_server(seq):
     assert all(len(view.servers) <= 1 for view in spy.views)
 
 
-def test_event_log_round_trip(tmp_path, three_job_instance):
-    result = simulate(NextFit(10), three_job_instance)
-    path = tmp_path / "events.csv"
-    write_event_csv(result.trace.events, path)
+# two size-6 jobs in a row make nf, mnf and harmonic close a server
+CLOSING_SEQUENCE = JobSequence(
+    [Job(1, 6, 0, 4), Job(2, 6, 1, 5), Job(3, 2, 1, 3), Job(4, 2, 2, 6), Job(5, 5, 3, 7)],
+    CapacityConfig(10),
+)
+
+
+@pytest.mark.parametrize("spec", all_strategy_specs(2))
+def test_event_log_round_trip(tmp_path, spec):
+    # a named tuple equals a plain tuple, so each row's type is pinned exactly
+    spy = SpyStrategy(build_strategy(spec, 10))
+    result = simulate(spy, CLOSING_SEQUENCE)
+    assert all(type(view) is ArrivalView for view in spy.views)
+    assert all(type(spy.inner.place(view)) is Decision for view in spy.views)
+    written = result.trace.events
+    if spec.partition(":")[0] in ("nf", "mnf", "harmonic"):
+        assert any(ev.kind == "close" for ev in written)
+    path, again = tmp_path / "events.csv", tmp_path / "again.csv"
+    write_event_csv(written, path)
     events = read_event_csv(path)
-    assert events == result.trace.events
-    rebuilt = trace_from_events(three_job_instance, events)
+    assert all(type(ev) is core.Event for ev in written + events)
+    assert events == written
+    write_event_csv(events, again)
+    assert again.read_bytes() == path.read_bytes()
+    rebuilt = trace_from_events(CLOSING_SEQUENCE, events)
     assert rebuilt.assignments == dict(result.trace.assignments)
     assert rebuilt.servers == result.trace.servers
     assert validate_trace(rebuilt) == []

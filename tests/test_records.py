@@ -2,8 +2,8 @@
 
 Every record is immutable and slotted, built the same way by keyword and by
 position, hashable and picklable.  The cold records are frozen slotted
-dataclasses; ``ArrivalView`` and ``Decision``, built once per arrival, are
-named tuples.
+dataclasses; ``ArrivalView``, ``Decision`` and ``Event``, built once per
+arrival or per event row, are named tuples.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ RECORDS = {
     UniformParams: (100, 1000, 1000, 10, 7, 2, 500),
     AdversaryParams: (Fraction(1, 4), 3, 2, 1, "ff", 16),
 }
-NAMED_TUPLES = {ArrivalView, Decision}
+NAMED_TUPLES = {ArrivalView, Decision, Event}
 SRC = Path(rentsim.__file__).parent
 
 
