@@ -108,15 +108,18 @@ def run_experiment(spec: ExperimentSpec) -> list[AggregateRow]:
     Any single-run failure aborts the run with a :class:`BenchError`
     naming the cell.  Rows come out in grid order, strategies in the
     order given, so the output is reproducible byte for byte.  A bad
-    strategy selection raises ValueError before any trial runs.  With
-    ``workers > 1`` one process pool runs every cell's trials.
+    strategy selection or cell raises ValueError before any trial runs.
+    With ``workers > 1`` one process pool runs every cell's trials.
     """
-    for e in spec.es:
-        for mu in spec.mus:
-            for name in spec.strategies:
-                build_strategy(name, e, mu=mu)
     cells = [(n, e, t, mu) for n in spec.ns for e in spec.es
              for t in spec.ts for mu in spec.mus]
+    for n, e, t, mu in cells:
+        for name in spec.strategies:
+            build_strategy(name, e, mu=mu)
+        try:
+            UniformParams(n=n, e=e, t=t, mu=mu, seed=spec.seed_base)
+        except ValueError as exc:
+            raise ValueError(f"cell n={n} e={e} t={t} mu={mu}: {exc}") from None
     tasks = [(n, e, t, mu, spec.seed_base + i, spec.strategies, spec.oracle)
              for n, e, t, mu in cells for i in range(spec.trials)]
     if spec.workers == 1:

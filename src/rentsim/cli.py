@@ -47,6 +47,14 @@ DESK_TRIALS = 30
 DEFAULT_STRATEGIES = "nf,mnf,ff,mff,bf,harmonic:10,mtf"
 
 
+def _fraction(text: str) -> Fraction:
+    """An argparse type: a rational like ``0.5`` or ``1/10``; a bad one exits 2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _fmt(value) -> str:
     frac = Fraction(value)
     if frac.denominator == 1:
@@ -64,7 +72,7 @@ def cmd_generate(args) -> int:
         write_sequence_csv(gen_uniform(params), out)
         print(f"wrote {args.n} jobs to {out}")
         return 0
-    eps = Fraction(args.eps)
+    eps = args.eps
     e = args.e if args.e is not None else eps.denominator
     params = AdversaryParams(
         eps=eps, mu=args.mu, delta=args.delta, phases=args.phases,
@@ -97,9 +105,8 @@ def cmd_run(args) -> int:
     strategy = build_strategy(args.strategy, seq.capacity.e, mu=stats.mu)
     result = simulate(strategy, seq)
     violations = validate_trace(result.trace)
-    nf_k = Fraction(args.nf_k) if args.nf_k else None
     report = build_report(
-        result, with_oracle=args.oracle, oracle_limit=args.oracle_limit, nf_k=nf_k
+        result, with_oracle=args.oracle, oracle_limit=args.oracle_limit, nf_k=args.nf_k
     )
     if args.events:
         write_event_csv(result.trace.events, args.events)
@@ -201,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     uni.add_argument("--out", required=True)
     uni.set_defaults(func=cmd_generate, kind="uniform")
     adv = gen_sub.add_parser("adversarial", help="adaptive phase construction")
-    adv.add_argument("--eps", required=True, help="item size fraction, e.g. 0.5 or 1/10")
+    adv.add_argument("--eps", type=_fraction, required=True,
+                     help="item size fraction, e.g. 0.5 or 1/10")
     adv.add_argument("--mu", type=int, required=True)
     adv.add_argument("--delta", type=int, default=1)
     adv.add_argument("--phases", type=int, required=True)
@@ -218,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", action="store_true",
                      help="compare against the exact optimum (tiny instances)")
     run.add_argument("--oracle-limit", type=int, default=ORACLE_DEFAULT_LIMIT)
-    run.add_argument("--nf-k", default=None,
+    run.add_argument("--nf-k", type=_fraction, default=None,
                      help="assert the small-size Next Fit bound for this k")
     run.add_argument("--events", default=None, help="write the event log CSV here")
     run.add_argument("--json", action="store_true")

@@ -20,6 +20,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter, mul, sub
 from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
@@ -101,7 +102,7 @@ class JobSequence:
     capacity: CapacityConfig
 
     def __init__(self, jobs: Iterable[Job], capacity: CapacityConfig):
-        ordered = tuple(sorted(jobs, key=lambda j: j.arrival))
+        ordered = tuple(sorted(jobs, key=attrgetter("arrival")))
         seen: set[int] = set()
         for job in ordered:
             if job.id in seen:
@@ -208,12 +209,15 @@ def compute_stats(seq: JobSequence) -> SequenceStats:
     if not seq.jobs:
         raise ValueError("empty sequence")
     e = seq.capacity.e
-    lengths = [job.length for job in seq.jobs]
+    arrivals = list(map(attrgetter("arrival"), seq.jobs))
+    departures = list(map(attrgetter("departure"), seq.jobs))
+    sizes = list(map(attrgetter("size"), seq.jobs))
+    lengths = list(map(sub, departures, arrivals))
     delta = min(lengths)
     return SequenceStats(
-        span=union_measure((job.arrival, job.departure) for job in seq.jobs),
-        util=Fraction(sum(job.size * job.length for job in seq.jobs), e),
-        total_size=Fraction(sum(job.size for job in seq.jobs), e),
+        span=union_measure(zip(arrivals, departures)),
+        util=Fraction(sum(map(mul, sizes, lengths)), e),
+        total_size=Fraction(sum(sizes), e),
         total_length=sum(lengths),
         delta=delta,
         mu=Fraction(max(lengths), delta),

@@ -7,12 +7,12 @@ departure or length information, so the online restriction is impossible
 to violate by construction.  Departures reach strategies only indirectly,
 as level changes of (or the disappearance of) servers in later views.
 
-Views are kept per server change, not built per arrival: the engine holds
-one ``(id, level, tag)`` tuple per placeable server and replaces it only
-when that server receives a job, loses a job while it stays open, or is
-closed or released.  An arrival's view is a copy of that table, and a
-step's releases come from the departures that empty a server, so no step
-scans every live server.
+One live view per run: the engine holds one ``(id, level, tag)`` tuple per
+placeable server in a dict, replaced only when that server gains or loses a
+job or is closed or released, and its one :class:`ArrivalView` shows that
+dict's ``values()``; each arrival sets the view's job id, size and time, so
+a view is valid only while ``place`` runs.  A step's releases come from the
+departures that empty a server, so no step scans every live server.
 
 Per-server state is plain lists indexed by server id (opening time, release
 and close times, level, tag), not one object per server.  Sizes are at least
@@ -20,13 +20,13 @@ and close times, level, tag), not one object per server.  Sizes are at least
 names is checked against the placeable servers, never by list bounds.  The
 step schedule is the sequence's cached
 :attr:`~rentsim.core.JobSequence.timeline`, shared by every run over it.
-Views, decisions and events are named tuples, built per row by
-``tuple.__new__`` in C, and each server in a view is a plain tuple: the
-cheapest values to build and to read on every arrival.  A named tuple's
-field reads are slower than slot reads, so ``validate_trace`` unpacks each
-log row and :func:`trace_from_events` reads fields beyond a row's kind only
-on the rows it keeps.  The result's cost, server count, critical count,
-assignments and events are computed when the run ends.  The trace's
+Decisions and events are named tuples, event rows built by
+``tuple.__new__`` in C and each decision unpacked once, and each server in
+a view is a plain tuple.  A named tuple's field reads are slower than slot
+reads, so ``validate_trace`` unpacks each log row and
+:func:`trace_from_events` reads fields beyond a row's kind only on the rows
+it keeps.  The result's cost, server count, critical count, assignments and
+events are computed when the run ends.  The trace's
 ``ServerRecord``s are built on first read from the time lists (a server's
 jobs are the ``assignments`` entries naming it, in insertion order), and
 ``RunResult.per_server`` is derived from those records on its first read,
@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, NamedTuple, Protocol
+from typing import Hashable, Iterable, NamedTuple, Protocol
 
 from .core import EVENT_KINDS, Event, JobSequence, PlacementTrace, ServerRecord
 
@@ -57,22 +57,27 @@ __all__ = [
 EVENT_HEADER = ["t", "kind", "job_id", "server_id"]
 
 
-class ArrivalView(NamedTuple):
+class ArrivalView:
     """The arriving job and the current placeable servers, in opening order.
 
-    Each entry of ``servers`` is a plain ``(id, level, tag)`` tuple.  ``tag``
-    is an opaque value owned by the strategy: it is set via
-    :class:`Decision` and echoed back unchanged on every later view.
-    Strategies use it for stream labels, size classes, or recency stamps.
+    ``servers`` is a read-only, live iterable with a length, of plain
+    ``(id, level, tag)`` tuples.  ``tag`` is an opaque value owned by the
+    strategy: it is set via :class:`Decision` and echoed back unchanged on
+    every later view.  Strategies use it for stream labels, size classes,
+    or recency stamps.  :func:`simulate` updates one view per run in place,
+    so a view is valid only while ``place`` runs.
 
     Contains no departure or length information by construction.  Closed
     servers (Next Fit family) are excluded: they are never valid targets.
     """
 
-    job_id: int
-    size: int
-    time: int
-    servers: tuple[tuple[int, int, Hashable], ...]
+    __slots__ = ("job_id", "size", "time", "servers")
+
+    def __init__(self, job_id: int, size: int, time: int, servers: Iterable):
+        self.job_id = job_id
+        self.size = size
+        self.time = time
+        self.servers = servers
 
 
 class Decision(NamedTuple):
@@ -143,8 +148,8 @@ def simulate(
     """
     e = seq.capacity.e
     place = strategy.place
-    # per-row records are built by tuple.__new__ in C, not by the named
-    # tuples' Python-level __new__
+    # event rows are built by tuple.__new__ in C, not by the named tuple's
+    # Python-level __new__
     new = tuple.__new__
     # per-server state, indexed by server id; ids count up from 1 in opening
     # order, so index 0 is padding.  Sizes are >= 1: a server is empty
@@ -153,11 +158,12 @@ def simulate(
     released_at: list = [None]
     closed_at: list = [None]
     level: list = [0]
-    tag: list = [None]
+    tags: list = [None]
     # placeable servers only; insertion order == opening order, and replacing
     # an entry keeps its place.  Every id check goes through it: plain list
     # indexing would accept 0, a negative id or a closed or released server.
     views: dict[int, tuple] = {}
+    view = ArrivalView(None, None, None, views.values())
     assignments: dict[int, int] = {}
     events: list[Event] = []
 
@@ -172,7 +178,7 @@ def simulate(
                 if not lvl:
                     emptied.append(sid)
                 elif closed_at[sid] is None:
-                    views[sid] = (sid, lvl, tag[sid])
+                    views[sid] = (sid, lvl, tags[sid])
             if len(emptied) > 1:
                 emptied.sort()  # ids ascend in opening order
             for sid in emptied:
@@ -182,42 +188,44 @@ def simulate(
                     events.append(new(Event, (t, "release", None, sid)))
 
         for job in arrivals:
+            jid = view.job_id = job.id
+            size = view.size = job.size
+            view.time = t
             if record_events:
-                events.append(new(Event, (t, "arrive", job.id, None)))
-            decision = place(new(ArrivalView, (job.id, job.size, t, tuple(views.values()))))
-            for cid in decision.close:
+                events.append(new(Event, (t, "arrive", jid, None)))
+            sid, close, tag = decision = place(view)
+            for cid in close:
                 if cid not in views:
                     raise InfeasiblePlacementError(
                         f"close of unknown or already closed server {cid}",
-                        time=t, job_id=job.id, decision=decision)
+                        time=t, job_id=jid, decision=decision)
                 closed_at[cid] = t
                 del views[cid]
                 if record_events:
                     events.append(new(Event, (t, "close", None, cid)))
-            sid = decision.place_in
             if sid is None:
                 sid = len(level)
                 opened_at.append(t)
                 released_at.append(None)
                 closed_at.append(None)
-                level.append(job.size)
-                tag.append(decision.tag)
+                level.append(size)
+                tags.append(tag)
             else:
                 if sid not in views:
                     raise InfeasiblePlacementError(
                         f"target server {sid} is not open for placement",
-                        time=t, job_id=job.id, decision=decision)
-                if level[sid] + job.size > e:
+                        time=t, job_id=jid, decision=decision)
+                if level[sid] + size > e:
                     raise InfeasiblePlacementError(
-                        f"server {sid} at level {level[sid]} cannot take size {job.size}",
-                        time=t, job_id=job.id, decision=decision)
-                level[sid] += job.size
-                if decision.tag is not None:
-                    tag[sid] = decision.tag
-            views[sid] = (sid, level[sid], tag[sid])
-            assignments[job.id] = sid
+                        f"server {sid} at level {level[sid]} cannot take size {size}",
+                        time=t, job_id=jid, decision=decision)
+                level[sid] += size
+                if tag is not None:
+                    tags[sid] = tag
+            views[sid] = (sid, level[sid], tags[sid])
+            assignments[jid] = sid
             if record_events:
-                events.append(new(Event, (t, "place", job.id, sid)))
+                events.append(new(Event, (t, "place", jid, sid)))
 
     del opened_at[0], released_at[0], closed_at[0]
     assert None not in released_at, "every server is released once its jobs depart"

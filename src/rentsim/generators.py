@@ -6,6 +6,10 @@ rejection sampling, so there is no modulo bias and the draw sequence is
 part of the format: for each job, in id order, draw size, then arrival,
 then length.
 
+SplitMix64's k-th output after state s mixes s + k*gamma alone, so :func:`_mix`
+mixes up to 1,024 outputs at once in one int (a 64-bit lane every 128 bits, so
+no product reaches the next lane), read out as little-endian bytes on any host.
+
 The adversarial generator is adaptive: it must see how the target
 strategy packs a phase before deciding which items depart early, so it
 co-simulates the target on each phase's arrivals.
@@ -14,9 +18,11 @@ co-simulates the target on each phase's arrivals.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from operator import add
 
 from .core import CapacityConfig, Job, JobSequence
 from .engine import simulate
@@ -33,6 +39,27 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
+_GAMMA = 0x9E3779B97F4A7C15
+# _mix's lanes: a 1 in each, 64 one bits in each, k*gamma in lane k (from 1)
+_BATCH = 1024
+_ONES = int.from_bytes((b"\1" + bytes(15)) * _BATCH, "little")
+_LANES = _ONES * _MASK64
+_STEPS = int.from_bytes(b"".join((k * _GAMMA & _MASK64).to_bytes(16, "little")
+                                 for k in range(1, _BATCH + 1)), "little")
+
+
+def _mix(state: int, count: int) -> array:
+    """The ``count`` (<= 1,024) SplitMix64 outputs after ``state``, in order."""
+    keep = (1 << 128 * count) - 1
+    lanes = _LANES & keep
+    z = (state * (_ONES & keep) + (_STEPS & keep)) & lanes
+    z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
+    z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
+    z ^= z >> 31  # the bits this leaves between lanes are never read
+    out = array("Q", z.to_bytes(16 * count, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out[::2]
 
 
 class SplitMix64:
@@ -45,14 +72,16 @@ class SplitMix64:
     def ranges(*bounds: tuple[int, int]) -> tuple[tuple[int, int, int], ...]:
         """``(lo, n, limit)`` per inclusive ``(lo, hi)``, the input of :meth:`draw`.
 
-        ``limit`` is the largest multiple of n up to 2**64: a raw draw below
-        it maps to ``lo + draw % n`` without modulo bias.
+        ``limit`` is the largest multiple of n up to 2**64 (a larger n raises
+        ValueError): a raw draw below it maps to ``lo + draw % n`` unbiased.
         """
         out = []
         for lo, hi in bounds:
             if lo > hi:
                 raise ValueError(f"empty range [{lo}, {hi}]")
             n = hi - lo + 1
+            if n > _TWO64:
+                raise ValueError(f"range [{lo}, {hi}] has more than 2**64 values")
             out.append((lo, n, _TWO64 - _TWO64 % n))
         return tuple(out)
 
@@ -60,28 +89,25 @@ class SplitMix64:
         """One rejection-sampled value per range of :meth:`ranges`, in order."""
         state = self._state
         values = []
-        for lo, n, limit in ranges:
-            while True:
-                state = (state + 0x9E3779B97F4A7C15) & _MASK64
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                z ^= z >> 31
+        i = 0
+        while i < len(ranges):
+            # no more outputs than ranges left: the state ends as a scalar loop's
+            count = min(len(ranges) - i, _BATCH)
+            for z in _mix(state, count):
+                lo, n, limit = ranges[i]
                 if z < limit:
-                    break
-            values.append(lo + z % n)
+                    values.append(lo + z % n)
+                    i += 1
+            state = (state + count * _GAMMA) & _MASK64
         self._state = state
         return values
 
     def next_u64(self) -> int:
-        return self.draw(_FULL_RANGE)[0]
+        return self.randint(0, _MASK64)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], rejection sampled (no modulo bias)."""
         return self.draw(self.ranges((lo, hi)))[0]
-
-
-# every 64-bit value: no draw is rejected and none is reduced
-_FULL_RANGE = SplitMix64.ranges((0, _MASK64))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,17 +142,20 @@ class UniformParams:
             raise ValueError(
                 f"bad size range [{self.size_min}, {hi}] for capacity {self.e}"
             )
+        self._ranges()  # a range of more than 2**64 values raises ValueError
+
+    def _ranges(self) -> tuple[tuple[int, int, int], ...]:
+        """One job's size, arrival and length ranges, as :meth:`SplitMix64.draw` takes them."""
+        hi = self.e if self.size_max is None else self.size_max
+        return SplitMix64.ranges((self.size_min, hi), (1, self.t - self.mu), (1, self.mu))
 
 
 def gen_uniform(params: UniformParams) -> JobSequence:
     """Deterministic uniform instance for a seed; ids follow draw order."""
-    rng = SplitMix64(params.seed)
-    size_hi = params.e if params.size_max is None else params.size_max
-    ranges = rng.ranges(
-        (params.size_min, size_hi), (1, params.t - params.mu), (1, params.mu))
-    draws = map(rng.draw, repeat(ranges, params.n))
-    jobs = [Job(jid, size, arrival, arrival + length)
-            for jid, (size, arrival, length) in enumerate(draws, 1)]
+    draws = SplitMix64(params.seed).draw(params._ranges() * params.n)
+    arrivals = draws[1::3]
+    jobs = map(Job, range(1, params.n + 1), draws[0::3], arrivals,
+               map(add, arrivals, draws[2::3]))
     return JobSequence(jobs, CapacityConfig(params.e))
 
 

@@ -4,8 +4,10 @@ Every strategy is a pure function of the :class:`ArrivalView` it receives:
 whatever ordering or stream bookkeeping it needs lives in the per-server
 tags that the engine stores and echoes back.  So one strategy object can
 serve any number of runs, and it is structurally impossible for it to
-remember departure times.  Each placeable server in a view is an
-``(id, level, tag)`` tuple, unpacked in the scan.
+remember departure times.  A view is valid only while ``place`` runs (the
+engine reuses one view per run); its ``servers`` is a read-only, live
+iterable of ``(id, level, tag)`` tuples in opening order, unpacked in the
+scan.
 
 Size thresholds (Modified Next Fit, Modified First Fit, Harmonic classes)
 are exact: with integer sizes and a rational K each reduces to an integer
@@ -89,17 +91,12 @@ def _next_fit_stream(view: ArrivalView, e: int, opening: Decision) -> Decision:
     ``opening`` is the shared decision that opens the stream's next server.
     """
     stream = opening.tag
-    current = None
     for sid, level, tag in view.servers:
         if tag == stream:
-            assert current is None, f"next-fit stream {stream!r} has two open servers"
-            current = sid, level
-    if current is None:
-        return opening
-    sid, level = current
-    if level + view.size <= e:
-        return _new(Decision, (sid, (), None))
-    return Decision(None, (sid,), stream)
+            if level + view.size <= e:
+                return _new(Decision, (sid, (), None))
+            return _new(Decision, (None, (sid,), stream))
+    return opening
 
 
 class NextFit(_Base):

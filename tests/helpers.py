@@ -9,6 +9,10 @@ incremental one in ``rentsim.engine`` is compared with, trace for trace, and
 ``rentsim.bounds.check_mtf_bound`` is compared with, and
 ``reference_capacity_violations`` the per-arrival load scan that
 ``rentsim.validate_trace``'s running sum is compared with.
+``reference_draw`` is the one-output-at-a-time SplitMix64 loop that the
+lane-parallel ``SplitMix64.draw`` is compared with, and
+``reference_compute_stats`` the per-job statistics that the column passes of
+``rentsim.compute_stats`` are compared with.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from rentsim import (
     ServerRecord,
 )
 from rentsim.bounds import BoundEntry
-from rentsim.core import Event, Violation, merge_intervals
+from rentsim.core import Event, SequenceStats, Violation, merge_intervals, union_measure
 
 
 @st.composite
@@ -165,6 +169,44 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
         trace=trace,
         servers_opened=len(records),
         critical_count=sum(1 for r in records if r.closed_period > 0),
+    )
+
+
+_MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+
+
+def reference_draw(state: int, bounds) -> tuple[list[int], int]:
+    """Differential oracle for ``SplitMix64.draw``: one rejection-sampled
+    value per inclusive ``(lo, hi)``, one generator step at a time.  Returns
+    the values and the state after the last step."""
+    values = []
+    for lo, hi in bounds:
+        n = hi - lo + 1
+        limit = _TWO64 - _TWO64 % n
+        while True:
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                break
+        values.append(lo + z % n)
+    return values, state
+
+
+def reference_compute_stats(seq: JobSequence) -> SequenceStats:
+    """Differential oracle for ``compute_stats``: one generator pass per field."""
+    e = seq.capacity.e
+    lengths = [job.length for job in seq.jobs]
+    delta = min(lengths)
+    return SequenceStats(
+        span=union_measure((job.arrival, job.departure) for job in seq.jobs),
+        util=Fraction(sum(job.size * job.length for job in seq.jobs), e),
+        total_size=Fraction(sum(job.size for job in seq.jobs), e),
+        total_length=sum(lengths),
+        delta=delta,
+        mu=Fraction(max(lengths), delta),
     )
 
 

@@ -98,14 +98,26 @@ def test_bench_rejects_empty_grids_and_bad_cells():
                        trials=1, seed_base=0)
     spec = ExperimentSpec(strategies=("nf",), ns=(10,), es=(10,), ts=(2,),
                           mus=(5,), trials=1, seed_base=0)
-    with pytest.raises(BenchError, match="cell"):
+    # a bad cell is a usage error, found before any trial runs
+    with pytest.raises(ValueError, match="cell"):
         run_experiment(spec)  # t <= mu is an invalid generator range
     # Only the middle cell (t=5 <= mu=5) is invalid; the error names it, not a later cell.
     for workers in (1, 2):
         spec = ExperimentSpec(strategies=("nf", "ff"), ns=(20,), es=(10,), ts=(10, 5, 8),
                               mus=(5,), trials=2, seed_base=0, workers=workers)
-        with pytest.raises(BenchError, match=r"^cell n=20 e=10 t=5 mu=5: "):
+        with pytest.raises(ValueError, match=r"^cell n=20 e=10 t=5 mu=5: "):
             run_experiment(spec)
+
+
+def test_bench_failing_trial_names_its_cell(monkeypatch):
+    def failing(task):
+        raise BenchError(f"cost below utilization (seed {task[4]})")
+
+    monkeypatch.setattr(rentsim.bench, "_run_trial", failing)
+    spec = ExperimentSpec(strategies=("nf",), ns=(20,), es=(10,), ts=(10,), mus=(5,),
+                          trials=2, seed_base=3)
+    with pytest.raises(BenchError, match=r"^cell n=20 e=10 t=10 mu=5: .*\(seed 3\)$"):
+        run_experiment(spec)
 
 
 def test_importing_rentsim_loads_no_process_pool():
@@ -300,6 +312,44 @@ def test_cli_bench_bad_selection_exits_2(capsys, selection, message):
             "--t", "10", "--mu", "2", "--trials", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_bench_bad_cell_exits_2_before_any_trial(capsys, monkeypatch):
+    trials = []
+    monkeypatch.setattr(rentsim.bench, "_run_trial", trials.append)
+    argv = ["bench", "--n", "10", "--n", "0", "--e", "10", "--t", "10", "--mu", "2",
+            "--trials", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cell n=0 e=10 t=10 mu=2: n must be >= 1, got 0\n"
+    assert trials == []
+
+
+def test_cli_generate_bad_eps_exits_2(tmp_path, capsys):
+    argv = ["generate", "adversarial", "--eps", "1/0", "--mu", "3", "--phases", "1",
+            "--target", "nf", "--out", str(tmp_path / "adv.csv")]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --eps: not a rational number: '1/0'\n")
+    assert not (tmp_path / "adv.csv").exists()
+
+
+def test_cli_run_bad_nf_k_exits_2(tmp_path, capsys):
+    seq_path = tmp_path / "ex.csv"
+    _write_three_job_instance(seq_path)
+    with pytest.raises(SystemExit) as info:
+        main(["run", "nf", str(seq_path), "--nf-k", "1/0"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --nf-k: not a rational number: '1/0'\n")
+    # --nf-k 0 adds no check, as when the flag is unset; --nf-k 2 adds the small-size ones
+    outputs = []
+    for extra in ([], ["--nf-k", "0"], ["--nf-k", "2"]):
+        assert main(["run", "nf", str(seq_path), *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]
+    assert "check nf_worst_case_small_k=2:" in outputs[2]
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys):

@@ -30,6 +30,7 @@ from helpers import (
     job_sequences,
     pointwise_span,
     reference_capacity_violations,
+    reference_compute_stats,
 )
 
 
@@ -103,6 +104,14 @@ def test_union_measure_handles_nesting_and_touching():
 @given(job_sequences())
 def test_stats_match_pointwise_span_oracle(seq):
     assert compute_stats(seq).span == pointwise_span(seq.jobs)
+
+
+@given(job_sequences(max_jobs=30))
+def test_stats_match_the_per_job_oracle(seq):
+    stats, expected = compute_stats(seq), reference_compute_stats(seq)
+    for field in dataclasses.fields(stats):
+        assert getattr(stats, field.name) == getattr(expected, field.name), field.name
+    assert stats == expected
 
 
 @given(job_sequences(), st.randoms(use_true_random=False))

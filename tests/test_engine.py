@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 import pytest
@@ -30,17 +31,31 @@ from rentsim.strategies import BestFit, FirstFit, MoveToFront, NextFit
 from helpers import BATTERY_SEED, all_strategy_specs, job_sequences, reference_simulate
 
 
+class Shown(NamedTuple):
+    """What a view showed while ``place`` ran; the engine reuses the view itself."""
+
+    job_id: int
+    size: int
+    time: int
+    servers: tuple
+
+
 class SpyStrategy:
-    """Wraps a strategy and records every view it is shown."""
+    """Wraps a strategy; records every view it is shown, the view object and each decision."""
 
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
-        self.views: list[ArrivalView] = []
+        self.views: list[Shown] = []
+        self.objects: list[ArrivalView] = []
+        self.decisions: list[Decision] = []
 
     def place(self, view):
-        self.views.append(view)
-        return self.inner.place(view)
+        self.views.append(Shown(view.job_id, view.size, view.time, tuple(view.servers)))
+        self.objects.append(view)
+        decision = self.inner.place(view)
+        self.decisions.append(decision)
+        return decision
 
 
 def test_next_fit_trace_on_three_job_instance(three_job_instance):
@@ -126,12 +141,51 @@ def test_interleaved_runs_of_one_strategy_match_independent_runs(seq_a, seq_b):
 def test_views_carry_no_departure_information(three_job_instance):
     spy = SpyStrategy(FirstFit(10))
     simulate(spy, three_job_instance)
-    assert ArrivalView._fields == ("job_id", "size", "time", "servers")
+    assert ArrivalView.__slots__ == ("job_id", "size", "time", "servers")
     # each placeable server is exactly (id, level, tag); First Fit sets no tag
     assert [view.servers for view in spy.views] == [(), ((1, 3, None),), ((1, 7, None),)]
     # slots forbid smuggling extra attributes onto a view
     with pytest.raises((AttributeError, TypeError)):
-        spy.views[0].departure = 99
+        spy.objects[0].departure = 99
+
+
+class _Nesting:
+    """First Fit that starts a whole First Fit run from inside its first ``place``."""
+
+    name = "nesting"
+
+    def __init__(self, seq):
+        self.seq = seq
+        self.inner_runs: list[SpyStrategy] = []
+
+    def place(self, view):
+        shown = (view.job_id, view.size, view.time, tuple(view.servers))
+        if not self.inner_runs:
+            self.inner_runs.append(SpyStrategy(FirstFit(self.seq.capacity.e)))
+            simulate(self.inner_runs[0], self.seq)
+        assert (view.job_id, view.size, view.time, tuple(view.servers)) == shown
+        return FirstFit(self.seq.capacity.e).place(view)
+
+
+def test_each_run_updates_one_view_of_its_own(three_job_instance):
+    servers = ((1, 6, None), (2, 1, 9))
+    for view in (ArrivalView(4, 3, 7, servers),
+                 ArrivalView(job_id=4, size=3, time=7, servers=servers)):
+        assert (view.job_id, view.size, view.time, view.servers) == (4, 3, 7, servers)
+    first, second = SpyStrategy(FirstFit(10)), SpyStrategy(FirstFit(10))
+    simulate(first, three_job_instance)
+    simulate(second, three_job_instance)
+    for spy in (first, second):
+        assert len(spy.objects) == 3 and all(obj is spy.objects[0] for obj in spy.objects)
+    assert first.objects[0] is not second.objects[0]
+    # a run started inside another run's place gets its own view, and the
+    # outer view still shows the outer arrival when it returns
+    outer = SpyStrategy(_Nesting(three_job_instance))
+    result = simulate(outer, three_job_instance)
+    inner = outer.inner.inner_runs[0]
+    assert inner.objects[0] is not outer.objects[0]
+    assert outer.views == inner.views == first.views
+    assert result.trace == simulate(FirstFit(10), three_job_instance).trace
 
 
 def test_view_levels_reflect_departures():
@@ -140,7 +194,7 @@ def test_view_levels_reflect_departures():
     )
     spy = SpyStrategy(FirstFit(10))
     simulate(spy, seq)
-    last_view = spy.views[-1]
+    last_view = spy.views[-1]  # what the last view showed while place ran
     assert last_view.time == 4
     assert [level for _, level, _ in last_view.servers] == [2]  # job 1 already gone
 
@@ -198,10 +252,11 @@ def _assert_same_run(spec, e, seq, record_events=True):
     result = simulate(spy, seq, record_events=record_events)
     expected = reference_simulate(ref_spy, seq, record_events=record_events)
     # a tuple equals a named tuple of the same values, so the types are pinned apart
+    assert all(type(obj) is ArrivalView for obj in spy.objects), spec
     for view in spy.views:
-        assert type(view) is ArrivalView, spec
         assert all(type(s) is tuple and len(s) == 3 for s in view.servers), spec
     assert spy.views == ref_spy.views, spec
+    assert spy.decisions == ref_spy.decisions, spec
     assert result.trace.events == expected.trace.events, spec
     assert result.trace.servers == expected.trace.servers, spec
     assert result.trace.assignments == expected.trace.assignments, spec
@@ -304,7 +359,7 @@ class _OverFiller:
 
     def place(self, view):
         if view.servers:
-            return Decision(place_in=view.servers[0][0])
+            return Decision(place_in=next(iter(view.servers))[0])
         return Decision(place_in=None)
 
 
@@ -409,8 +464,10 @@ def test_event_log_round_trip(tmp_path, spec):
     # a named tuple equals a plain tuple, so each row's type is pinned exactly
     spy = SpyStrategy(build_strategy(spec, 10))
     result = simulate(spy, CLOSING_SEQUENCE)
-    assert all(type(view) is ArrivalView for view in spy.views)
-    assert all(type(spy.inner.place(view)) is Decision for view in spy.views)
+    assert all(type(obj) is ArrivalView for obj in spy.objects)
+    # the decisions made during the run: the view itself is only valid then
+    assert len(spy.decisions) == len(CLOSING_SEQUENCE)
+    assert all(type(decision) is Decision for decision in spy.decisions)
     written = result.trace.events
     if spec.partition(":")[0] in ("nf", "mnf", "harmonic"):
         assert any(ev.kind == "close" for ev in written)

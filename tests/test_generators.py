@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
+
+import rentsim
 
 from rentsim import (
     AdversaryParams,
@@ -18,6 +26,8 @@ from rentsim import (
     simulate,
     write_sequence_csv,
 )
+
+from helpers import reference_draw
 
 
 def test_splitmix64_reference_vector():
@@ -36,6 +46,46 @@ def test_splitmix64_randint_stays_in_range_and_covers_it():
     assert set(draws) == {3, 4, 5, 6, 7}
     with pytest.raises(ValueError):
         rng.randint(5, 4)
+
+
+# (0, 3*2**62 - 1) rejects a quarter of all outputs; (0, 2**64 - 1) rejects none
+# and reduces none
+_BOUNDS = st.sampled_from(
+    [(0, 3 * 2**62 - 1), (0, 2**64 - 1), (1, 1000), (1, 9990), (7, 7), (-5, 5)])
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(_BOUNDS, max_size=5), st.integers(1, 700))
+@example(seed=2**64 - 1, pattern=[(0, 3 * 2**62 - 1), (0, 2**64 - 1), (1, 10)], repeats=700)
+def test_draw_matches_the_scalar_loop(seed, pattern, repeats):
+    # up to 3,500 ranges, more than one batch of outputs and rejections inside a batch
+    bounds = pattern * repeats
+    rng = SplitMix64(seed)
+    expected, state = reference_draw(seed, bounds)
+    assert rng.draw(SplitMix64.ranges(*bounds)) == expected
+    assert rng.next_u64() == reference_draw(state, [(0, 2**64 - 1)])[0][0]
+
+
+def test_ranges_rejects_more_than_two_to_the_64_values():
+    assert SplitMix64.ranges((0, 2**64 - 1)) == ((0, 2**64, 2**64),)
+    assert SplitMix64.ranges((-(2**63), 2**63 - 1)) == ((-(2**63), 2**64, 2**64),)
+    for bounds in ((0, 2**64), (1, 10**23)):
+        with pytest.raises(ValueError, match=r"more than 2\*\*64 values"):
+            SplitMix64.ranges(bounds)
+    with pytest.raises(ValueError, match=r"more than 2\*\*64 values"):
+        UniformParams(n=1, e=10, t=10**23, mu=2, seed=1)
+
+
+def test_cli_generate_rejects_a_range_beyond_two_to_the_64(tmp_path):
+    # before the check, a limit of 0 made the rejection loop spin for ever
+    src = str(Path(rentsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-m", "rentsim.cli", "generate", "uniform", "--n", "1", "--e", "10",
+         "--t", str(10**23), "--mu", "2", "--seed", "1", "--out", str(tmp_path / "x.csv")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert out.stderr == (f"error: range [1, {10**23 - 2}] has more than 2**64 values\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_uniform_params_validation():

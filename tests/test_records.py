@@ -2,8 +2,9 @@
 
 Every record is immutable and slotted, built the same way by keyword and by
 position, hashable and picklable.  The cold records are frozen slotted
-dataclasses; ``ArrivalView``, ``Decision`` and ``Event``, built once per
-arrival or per event row, are named tuples.
+dataclasses; ``Decision`` and ``Event``, built once per arrival or per event
+row, are named tuples.  ``ArrivalView`` is no record: the engine updates one
+view in place for every arrival of a run (pinned in ``test_engine``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import pytest
 import rentsim
 from rentsim import (
     AdversaryParams,
-    ArrivalView,
     BoundEntry,
     CapacityConfig,
     Decision,
@@ -39,13 +39,12 @@ RECORDS = {
     ServerRecord: (1, 0, 6, 3, (1, 2)),
     Event: (3, "place", 1, 2),
     Violation: ("capacity-exceeded", 2, None, 1, "load 11 > 10"),
-    ArrivalView: (4, 3, 7, ((1, 6, None), (2, 1, 9))),
     Decision: (2, (1,), 5),
     BoundEntry: ("lb_span", Fraction(5), Fraction(7), True),
     UniformParams: (100, 1000, 1000, 10, 7, 2, 500),
     AdversaryParams: (Fraction(1, 4), 3, 2, 1, "ff", 16),
 }
-NAMED_TUPLES = {ArrivalView, Decision, Event}
+NAMED_TUPLES = {Decision, Event}
 SRC = Path(rentsim.__file__).parent
 
 

@@ -330,3 +330,28 @@ def test_harmonic_classes_run_independent_next_fit(seq, k):
         sub = JobSequence([j for j in seq.jobs if j.id in ids], seq.capacity)
         alone = simulate(NextFit(e), sub)
         assert _grouping(whole, ids) == _grouping(alone, ids)
+
+
+class _StreamWatch:
+    """Wraps a Next Fit family strategy; asserts that no view shows two servers
+    of one stream, the invariant that lets ``_next_fit_stream`` stop at the
+    first server of its stream."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.views = 0
+
+    def place(self, view):
+        tags = [tag for _, _, tag in view.servers]
+        assert len(tags) == len(set(tags)), f"{self.name}: two open servers in a stream: {tags}"
+        self.views += 1
+        return self.inner.place(view)
+
+
+@given(job_sequences(max_jobs=16, max_time=8), st.integers(2, 6))
+def test_next_fit_streams_show_at_most_one_server_each(seq, k):
+    for spec in ("nf", f"mnf:{k}", f"harmonic:{k}", "harmonic:1"):
+        watch = _StreamWatch(build_strategy(spec, seq.capacity.e))
+        simulate(watch, seq)
+        assert watch.views == len(seq)
