@@ -83,7 +83,7 @@ def _run_trial(args) -> list[tuple[str, int, Fraction]]:
     n, e, t, mu, seed, strategy_names, oracle = args
     seq = gen_uniform(UniformParams(n=n, e=e, t=t, mu=mu, seed=seed))
     util = compute_stats(seq).util
-    opt = brute_force_opt(seq) if oracle and n <= ORACLE_DEFAULT_LIMIT else None
+    opt = brute_force_opt(seq) if oracle else None
     out = []
     for name in strategy_names:
         strategy = build_strategy(name, e, mu=mu)
@@ -108,7 +108,9 @@ def run_experiment(spec: ExperimentSpec) -> list[AggregateRow]:
     Any single-run failure aborts the run with a :class:`BenchError`
     naming the cell.  Rows come out in grid order, strategies in the
     order given, so the output is reproducible byte for byte.  A bad
-    strategy selection or cell raises ValueError before any trial runs.
+    strategy selection or cell, or the oracle asked for on a cell with more
+    than ``ORACLE_DEFAULT_LIMIT`` jobs, raises ValueError before any trial
+    runs.
     With ``workers > 1`` one process pool runs every cell's trials.
     """
     cells = [(n, e, t, mu) for n in spec.ns for e in spec.es
@@ -118,6 +120,8 @@ def run_experiment(spec: ExperimentSpec) -> list[AggregateRow]:
             build_strategy(name, e, mu=mu)
         try:
             UniformParams(n=n, e=e, t=t, mu=mu, seed=spec.seed_base)
+            if spec.oracle and n > ORACLE_DEFAULT_LIMIT:
+                raise ValueError(f"the oracle needs n <= {ORACLE_DEFAULT_LIMIT}, got {n}")
         except ValueError as exc:
             raise ValueError(f"cell n={n} e={e} t={t} mu={mu}: {exc}") from None
     tasks = [(n, e, t, mu, spec.seed_base + i, spec.strategies, spec.oracle)

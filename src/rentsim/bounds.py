@@ -33,6 +33,7 @@ __all__ = [
     "lower_bound",
     "brute_force_opt",
     "check_nf_bound",
+    "nf_small_k_unmet",
     "check_mnf_bound",
     "check_mtf_bound",
     "check_universal_bounds",
@@ -157,6 +158,20 @@ def _require(result: RunResult, kind: str, checker: str) -> None:
         )
 
 
+def nf_small_k_unmet(seq: JobSequence, k: Fraction | int) -> str | None:
+    """Why the small-size Next Fit bound for ``k`` does not apply to ``seq``.
+
+    The bound needs k >= 2 and every size at most E/k; None when it applies.
+    """
+    k = Fraction(k)
+    if k < 2:
+        return f"k={k} is below 2"
+    largest = max(seq.jobs, key=lambda job: job.size)
+    if largest.size * k > seq.capacity.e:
+        return f"job {largest.id} has size {largest.size} > E/k = {seq.capacity.e / k}"
+    return None
+
+
 def check_nf_bound(
     result: RunResult, stats: SequenceStats, k: Fraction | int | None = None
 ) -> list[BoundEntry]:
@@ -166,7 +181,8 @@ def check_nf_bound(
     size is at most E/k for some k >= 2 the cap tightens to
     total_size / (1 - 1/k).  The observed critical count is checked
     against the same caps.  The tighter branch is applied only when the
-    size precondition actually holds for the sequence.
+    size precondition actually holds for the sequence
+    (:func:`nf_small_k_unmet`).
     """
     _require(result, "nf", "check_nf_bound")
     cost, p = result.total_cost, result.critical_count
@@ -177,18 +193,15 @@ def check_nf_bound(
         ),
         BoundEntry.at_most("nf_critical_cap", 2 * stats.total_size, p),
     ]
-    if k is not None:
+    if k is not None and nf_small_k_unmet(result.trace.sequence, k) is None:
         k = Fraction(k)
-        e = result.trace.sequence.capacity.e
-        max_size = max(job.size for job in result.trace.sequence.jobs)
-        if k >= 2 and Fraction(max_size) * k <= e:
-            cap = stats.total_size / (1 - 1 / k)
-            entries.append(
-                BoundEntry.at_most(
-                    f"nf_worst_case_small_k={k}", stats.span + cap * mu_delta, cost
-                )
+        cap = stats.total_size / (1 - 1 / k)
+        entries.append(
+            BoundEntry.at_most(
+                f"nf_worst_case_small_k={k}", stats.span + cap * mu_delta, cost
             )
-            entries.append(BoundEntry.at_most(f"nf_critical_cap_small_k={k}", cap, p))
+        )
+        entries.append(BoundEntry.at_most(f"nf_critical_cap_small_k={k}", cap, p))
     return entries
 
 
@@ -226,7 +239,7 @@ def check_mtf_bound(result: RunResult, stats: SequenceStats) -> BoundEntry:
     for srv in result.trace.servers:
         i = bisect_right(starts, srv.opened_at) - 1
         if i >= 0 and srv.opened_at < segments[i][1]:
-            seg_cost[i] += srv.released_at - srv.opened_at
+            seg_cost[i] += srv.stretch
     satisfied = True
     total_formula = Fraction(0)
     for (start, end), work, cost in zip(segments, seg_work, seg_cost):

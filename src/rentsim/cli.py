@@ -20,7 +20,7 @@ from .bench import (
     run_experiment,
     summary_table,
 )
-from .bounds import ORACLE_DEFAULT_LIMIT, build_report
+from .bounds import ORACLE_DEFAULT_LIMIT, build_report, nf_small_k_unmet
 from .core import (
     compute_stats,
     fraction_json,
@@ -110,6 +110,9 @@ def cmd_run(args) -> int:
     )
     if args.events:
         write_event_csv(result.trace.events, args.events)
+    if args.nf_k is not None and result.strategy == "nf":
+        if (reason := nf_small_k_unmet(seq, args.nf_k)) is not None:
+            print(f"note: --nf-k {args.nf_k} adds no check: {reason}", file=sys.stderr)
 
     if args.json:
         payload = {

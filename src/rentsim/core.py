@@ -11,7 +11,9 @@ Conventions used throughout the package:
 * sizes are integers in capacity units, ``1 <= size <= E``;
 * ratio statistics (utilization, total size, max/min length ratio) are
   exact ``fractions.Fraction`` values, never floats, so that bound
-  inequalities can be checked exactly.
+  inequalities can be checked exactly;
+* a trace is its assignments and its closes; each server record is derived
+  from them on read, never stored, so it cannot disagree with its jobs.
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ def compute_stats(seq: JobSequence) -> SequenceStats:
 
 @dataclass(frozen=True, slots=True)
 class ServerRecord:
-    """One rented server: open interval, optional close mark, and its jobs.
+    """One rented server as its trace derives it: open interval, close mark, jobs.
 
     ``closed_at`` is set only by strategies that stop placing into a server
     (the Next Fit family); a closed server keeps accruing cost until
@@ -262,45 +264,37 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True)
 class PlacementTrace:
-    """Full assignment history of a run; the unit of validation.
+    """Assignment history of a run; the unit of validation.
 
-    A trace made by :meth:`unread` holds plain-data ``_columns`` in place of
-    ``servers`` and builds the records on first read.  Python calls
-    ``__getattr__`` only for a name missing from the instance dict, so a
-    constructed trace never reaches it, and equality, ``repr``, ``copy``,
-    ``pickle`` and ``dataclasses.replace`` behave as for a constructed trace.
+    ``assignments`` maps job id to server id in placement order, and
+    ``closed_at`` maps server id to the step a strategy closed it; every
+    server record follows from these and the jobs' times (:attr:`servers`).
     """
 
     sequence: JobSequence
     assignments: Mapping[int, int]
-    servers: tuple[ServerRecord, ...]
+    closed_at: Mapping[int, int]
     events: tuple[Event, ...] = ()
 
-    @classmethod
-    def unread(cls, columns: tuple, **fields) -> PlacementTrace:
-        """A trace holding ``fields``, its ``servers`` left to the first read.
+    @cached_property
+    def servers(self) -> tuple[ServerRecord, ...]:
+        """One record per server named in the assignments, in id order.
 
-        ``columns`` are the per-server opening, release and close times, ids
-        counting up from 1; a server's jobs are the ``assignments`` entries
-        naming it, in insertion order, which is placement order.
+        A server opens at its first job's arrival and is released at its
+        last job's departure; its jobs are listed in placement order.  Jobs
+        the sequence does not have are skipped.  Built on first read.
         """
-        obj = object.__new__(cls)
-        obj.__dict__.update(fields, _columns=columns)
-        return obj
-
-    def __getattr__(self, name: str):
-        state = self.__dict__
-        if name != "servers" or "_columns" not in state:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        opened_at, released_at, closed_at = state["_columns"]
-        jobs: list[list[int]] = [[] for _ in opened_at]
+        jobs_by_id = {job.id: job for job in self.sequence.jobs}
+        placed: dict[int, list[Job]] = {}
         for jid, sid in self.assignments.items():
-            jobs[sid - 1].append(jid)
-        servers = state["servers"] = tuple(map(
-            ServerRecord, range(1, len(jobs) + 1), opened_at, released_at, closed_at,
-            map(tuple, jobs)))
-        del state["_columns"]
-        return servers
+            if (job := jobs_by_id.get(jid)) is not None:
+                placed.setdefault(sid, []).append(job)
+        closed_at = self.closed_at
+        return tuple(
+            ServerRecord(sid, min(job.arrival for job in jobs),
+                         max(job.departure for job in jobs), closed_at.get(sid),
+                         tuple(job.id for job in jobs))
+            for sid, jobs in sorted(placed.items()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,50 +323,34 @@ class Violation:
 def validate_trace(trace: PlacementTrace) -> list[Violation]:
     """Check every trace invariant; violations are data, not errors.
 
-    Returns an empty list iff the trace satisfies: unique assignment of
-    every job, per-server capacity at all times, release at the last
-    departure, stretch >= minimum job length, and a time-monotone event
-    log with departures/releases ordered before arrivals within a step.
-    A trace with events is also checked against its sequence: each job has
-    exactly one arrive and one place row at its arrival step and one depart
-    row at its departure step, naming the server it was placed in.  Each
-    server of the trace has exactly one release row, at its release step,
-    and at most one close row, at its close step; a close or release row
-    naming no server of the trace is a violation.
+    Server records derive from the assignments, so a job sits in one server
+    and a server spans its jobs by construction.  Returns an empty list iff
+    every job, and only the sequence's jobs, is assigned; no server sits
+    empty before its release, takes a job after its close or exceeds its
+    capacity; each close lies in its server's ``[opened_at, released_at)``;
+    and the event log is time-monotone, departures/releases before arrivals
+    within a step.  A trace with events is also checked against its
+    sequence: each job has exactly one arrive and one place row at its
+    arrival step and one depart row at its departure step, naming the server
+    it was placed in.  Each server of the trace has exactly one release row,
+    at its release step, and at most one close row, at its close step; a
+    close or release row naming no server of the trace is a violation.
     """
     violations: list[Violation] = []
     seq = trace.sequence
     e = seq.capacity.e
     jobs_by_id = {job.id: job for job in seq.jobs}
+    assignments = trace.assignments
 
-    # assignment completeness and agreement with server job lists
-    placed: dict[int, int] = {}
-    for srv in trace.servers:
-        for jid in srv.jobs:
-            if jid in placed:
-                violations.append(
-                    Violation("job-in-multiple-servers", job_id=jid, server_id=srv.id)
-                )
-            placed[jid] = srv.id
-            if jid not in jobs_by_id:
-                violations.append(
-                    Violation("unknown-job-in-server", job_id=jid, server_id=srv.id)
-                )
+    for jid, sid in assignments.items():
+        if jid not in jobs_by_id:
+            violations.append(Violation("unknown-job-in-server", job_id=jid, server_id=sid))
     for job in seq.jobs:
-        assigned = trace.assignments.get(job.id)
-        if assigned is None:
+        if job.id not in assignments:
             violations.append(Violation("job-not-assigned", job_id=job.id))
-        elif placed.get(job.id) != assigned:
-            violations.append(
-                Violation("assignment-mismatch", job_id=job.id, server_id=assigned)
-            )
 
-    delta = min((job.length for job in seq.jobs), default=1)
     for srv in trace.servers:
-        members = [jobs_by_id[jid] for jid in srv.jobs if jid in jobs_by_id]
-        if not members:
-            violations.append(Violation("empty-server", server_id=srv.id))
-            continue
+        members = [jobs_by_id[jid] for jid in srv.jobs]
         # in arrival order, a job arriving once every earlier job has departed
         # lands in a server that was empty (departures precede arrivals within
         # a step) and so should have been released; a job arriving after the
@@ -382,56 +360,24 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
         latest_departure = members[0].departure
         for job in members[1:]:
             if job.arrival >= latest_departure:
-                violations.append(
-                    Violation(
-                        "server-empty-before-release",
-                        time=job.arrival,
-                        job_id=job.id,
-                        server_id=srv.id,
-                        detail=f"empty since {latest_departure}",
-                    )
-                )
+                violations.append(Violation("server-empty-before-release", job.arrival, job.id,
+                                            srv.id, f"empty since {latest_departure}"))
                 break
             latest_departure = max(latest_departure, job.departure)
         if srv.closed_at is not None:
             for job in members:
                 if job.arrival > srv.closed_at:
-                    violations.append(
-                        Violation(
-                            "placement-after-close",
-                            time=job.arrival,
-                            job_id=job.id,
-                            server_id=srv.id,
-                            detail=f"closed at {srv.closed_at}",
-                        )
-                    )
+                    violations.append(Violation("placement-after-close", job.arrival, job.id,
+                                                srv.id, f"closed at {srv.closed_at}"))
         if (overload := first_overload(members, e)) is not None:
-            violations.append(
-                Violation(
-                    "capacity-exceeded",
-                    time=overload[0],
-                    server_id=srv.id,
-                    detail=f"load {overload[1]} > {e}",
-                )
-            )
-        last_departure = max(job.departure for job in members)
-        if srv.released_at != last_departure:
-            violations.append(
-                Violation(
-                    "release-not-at-last-departure",
-                    time=srv.released_at,
-                    server_id=srv.id,
-                    detail=f"last departure {last_departure}",
-                )
-            )
-        if srv.stretch < delta:
-            violations.append(
-                Violation(
-                    "stretch-below-minimum-length",
-                    server_id=srv.id,
-                    detail=f"stretch {srv.stretch} < {delta}",
-                )
-            )
+            violations.append(Violation("capacity-exceeded", time=overload[0], server_id=srv.id,
+                                        detail=f"load {overload[1]} > {e}"))
+
+    servers_by_id = {srv.id: srv for srv in trace.servers}
+    for sid, t in trace.closed_at.items():
+        srv = servers_by_id.get(sid)
+        if srv is None or not srv.opened_at <= t < srv.released_at:
+            violations.append(Violation("close-outside-rental", time=t, server_id=sid))
 
     # the log against the trace, in one pass and only when there is a log:
     # time order; each job arrives and is placed at its arrival step and
@@ -440,9 +386,7 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
     # release step, once, and every server has its release row
     if not trace.events:
         return violations
-    servers_by_id = {srv.id: srv for srv in trace.servers}
     logged: dict[str, set[int]] = {kind: set() for kind in EVENT_KINDS}
-    assignments = trace.assignments
     prev: tuple[int, int] | None = None
     for t, kind, job_id, server_id in trace.events:
         key = (t, EVENT_KINDS[kind][0])

@@ -14,23 +14,23 @@ dict's ``values()``; each arrival sets the view's job id, size and time, so
 a view is valid only while ``place`` runs.  A step's releases come from the
 departures that empty a server, so no step scans every live server.
 
-Per-server state is plain lists indexed by server id (opening time, release
-and close times, level, tag), not one object per server.  Sizes are at least
-1, so a server is empty exactly when its level is 0; every id a strategy
-names is checked against the placeable servers, never by list bounds.  The
-step schedule is the sequence's cached
+Per-server state is two plain lists indexed by server id (level, tag), not
+one object per server, and a dict of the closed servers' close steps.  Sizes
+are at least 1, so a server is empty exactly when its level is 0; every id a
+strategy names is checked against the placeable servers, never by list
+bounds.  The cost is a running sum: each opening subtracts its step and each
+release adds its step.  The step schedule is the sequence's cached
 :attr:`~rentsim.core.JobSequence.timeline`, shared by every run over it.
 Decisions and events are named tuples, event rows built by
 ``tuple.__new__`` in C and each decision unpacked once, and each server in
 a view is a plain tuple.  A named tuple's field reads are slower than slot
 reads, so ``validate_trace`` unpacks each log row and
 :func:`trace_from_events` reads fields beyond a row's kind only on the rows
-it keeps.  The result's cost, server count, critical count, assignments and
-events are computed when the run ends.  The trace's
-``ServerRecord``s are built on first read from the time lists (a server's
-jobs are the ``assignments`` entries naming it, in insertion order), and
-``RunResult.per_server`` is derived from those records on its first read,
-so a caller that reads only the cost never pays for either.
+it keeps.  The trace is the run's assignments (in placement order), its
+closes and its events; the trace derives its ``ServerRecord``s on first read
+from the assignments and the jobs' times, and ``RunResult.per_server`` is
+derived from those records on its first read, so a caller that reads only
+the cost never pays for either.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple, Protocol
 
-from .core import EVENT_KINDS, Event, JobSequence, PlacementTrace, ServerRecord
+from .core import EVENT_KINDS, Event, JobSequence, PlacementTrace
 
 __all__ = [
     "ArrivalView",
@@ -116,7 +116,7 @@ class InfeasiblePlacementError(Exception):
 class RunResult:
     """Outcome of one simulation run.
 
-    ``critical_count`` is the number of servers closed before release.
+    ``critical_count`` is the number of servers closed, each before release.
     """
 
     strategy: str
@@ -154,11 +154,10 @@ def simulate(
     # per-server state, indexed by server id; ids count up from 1 in opening
     # order, so index 0 is padding.  Sizes are >= 1: a server is empty
     # exactly when its level is 0.
-    opened_at: list = [None]
-    released_at: list = [None]
-    closed_at: list = [None]
     level: list = [0]
     tags: list = [None]
+    closed: dict[int, int] = {}
+    cost = 0
     # placeable servers only; insertion order == opening order, and replacing
     # an entry keeps its place.  Every id check goes through it: plain list
     # indexing would accept 0, a negative id or a closed or released server.
@@ -177,12 +176,12 @@ def simulate(
                     events.append(new(Event, (t, "depart", job.id, sid)))
                 if not lvl:
                     emptied.append(sid)
-                elif closed_at[sid] is None:
+                elif sid not in closed:
                     views[sid] = (sid, lvl, tags[sid])
             if len(emptied) > 1:
                 emptied.sort()  # ids ascend in opening order
             for sid in emptied:
-                released_at[sid] = t
+                cost += t
                 views.pop(sid, None)
                 if record_events:
                     events.append(new(Event, (t, "release", None, sid)))
@@ -199,15 +198,13 @@ def simulate(
                     raise InfeasiblePlacementError(
                         f"close of unknown or already closed server {cid}",
                         time=t, job_id=jid, decision=decision)
-                closed_at[cid] = t
+                closed[cid] = t
                 del views[cid]
                 if record_events:
                     events.append(new(Event, (t, "close", None, cid)))
             if sid is None:
                 sid = len(level)
-                opened_at.append(t)
-                released_at.append(None)
-                closed_at.append(None)
+                cost -= t
                 level.append(size)
                 tags.append(tag)
             else:
@@ -227,16 +224,12 @@ def simulate(
             if record_events:
                 events.append(new(Event, (t, "place", jid, sid)))
 
-    del opened_at[0], released_at[0], closed_at[0]
-    assert None not in released_at, "every server is released once its jobs depart"
-
     return RunResult(
         strategy=strategy.name,
-        total_cost=sum(released_at) - sum(opened_at),
-        trace=PlacementTrace.unread((opened_at, released_at, closed_at), sequence=seq,
-                                    assignments=assignments, events=tuple(events)),
-        servers_opened=len(opened_at),
-        critical_count=sum(c is not None and r > c for r, c in zip(released_at, closed_at)),
+        total_cost=cost,
+        trace=PlacementTrace(seq, assignments, closed, tuple(events)),
+        servers_opened=len(level) - 1,
+        critical_count=len(closed),
     )
 
 
@@ -289,35 +282,17 @@ def read_event_csv(path) -> tuple[Event, ...]:
 
 
 def trace_from_events(seq: JobSequence, events: tuple[Event, ...]) -> PlacementTrace:
-    """Rebuild a trace from a sequence plus its event log (for replay validation)."""
-    opened_at: dict[int, int] = {}
-    closed_at: dict[int, int] = {}
-    released: dict[int, int] = {}
-    jobs: dict[int, list[int]] = {}
+    """Rebuild a trace from a sequence plus its event log (for replay validation).
+
+    The place rows give the assignments and the close rows the closes; the
+    trace derives every server record from those.
+    """
     assignments: dict[int, int] = {}
+    closed_at: dict[int, int] = {}
     for ev in events:
         kind = ev.kind  # arrive and depart rows, most of the log, need no other field
         if kind == "place":
-            sid = ev.server_id
-            if sid not in opened_at:
-                opened_at[sid] = ev.t
-                jobs[sid] = []
-            jobs[sid].append(ev.job_id)
-            assignments[ev.job_id] = sid
+            assignments[ev.job_id] = ev.server_id
         elif kind == "close":
             closed_at[ev.server_id] = ev.t
-        elif kind == "release":
-            released[ev.server_id] = ev.t
-    records = tuple(
-        ServerRecord(
-            id=sid,
-            opened_at=opened_at[sid],
-            released_at=released.get(sid, opened_at[sid]),
-            closed_at=closed_at.get(sid),
-            jobs=tuple(jobs[sid]),
-        )
-        for sid in sorted(opened_at)
-    )
-    return PlacementTrace(
-        sequence=seq, assignments=assignments, servers=records, events=events
-    )
+    return PlacementTrace(seq, assignments, closed_at, events)

@@ -73,7 +73,9 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
 
     Every arrival builds a fresh view of every placeable server, every step
     scans all live servers for empty ones, and each server keeps the set of
-    its resident job ids.  Same contract and output as ``simulate``.
+    its resident job ids.  Same contract as ``simulate``; returns the run's
+    result and the server records kept by the loop's own bookkeeping, which
+    the trace derives from its assignments and closes.
     """
     e = seq.capacity.e
     position = {job.id: idx for idx, job in enumerate(seq.jobs)}
@@ -161,15 +163,18 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
         for srv in sorted(finished, key=lambda s: s.id)
     )
     trace = PlacementTrace(
-        sequence=seq, assignments=assignments, servers=records, events=tuple(events)
+        sequence=seq, assignments=assignments,
+        closed_at={r.id: r.closed_at for r in records if r.closed_at is not None},
+        events=tuple(events),
     )
-    return RunResult(
+    result = RunResult(
         strategy=strategy.name,
         total_cost=sum(r.stretch for r in records),
         trace=trace,
         servers_opened=len(records),
         critical_count=sum(1 for r in records if r.closed_period > 0),
     )
+    return result, records
 
 
 _MASK64 = (1 << 64) - 1

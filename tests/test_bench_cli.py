@@ -20,6 +20,7 @@ from rentsim import (
     simulate,
     write_sequence_csv,
 )
+from rentsim.bounds import ORACLE_DEFAULT_LIMIT
 from rentsim.bench import (
     BenchError,
     ExperimentSpec,
@@ -233,6 +234,25 @@ def test_cli_verify_rejects_a_placement_into_a_closed_server(tmp_path, capsys):
     )
 
 
+def test_cli_verify_rejects_a_close_after_the_release(tmp_path, capsys):
+    # First Fit releases server 1 at t=10; a close row for it at t=20 would
+    # give it a closed period of -10
+    seq_path, ev_path = tmp_path / "ex.csv", tmp_path / "ev.csv"
+    write_sequence_csv(
+        JobSequence([Job(1, 5, 0, 10), Job(2, 5, 2, 6), Job(3, 5, 20, 25)],
+                    CapacityConfig(10)),
+        seq_path,
+    )
+    assert main(["run", "ff", str(seq_path), "--events", str(ev_path)]) == 0
+    text = ev_path.read_text(encoding="utf-8")
+    assert "10,release,,1\n20,arrive,3,\n20,place,3,2\n" in text
+    ev_path.write_text(text.replace("20,place,3,2\n", "20,place,3,2\n20,close,,1\n"),
+                       encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(seq_path), str(ev_path)]) == 1
+    assert capsys.readouterr().out == "violation: close-outside-rental t=20 server=1\n"
+
+
 @pytest.mark.parametrize(
     "old, new, expected",
     [
@@ -324,6 +344,18 @@ def test_cli_bench_bad_cell_exits_2_before_any_trial(capsys, monkeypatch):
     assert trials == []
 
 
+def test_cli_bench_oracle_beyond_its_limit_exits_2_before_any_trial(capsys, monkeypatch):
+    trials = []
+    monkeypatch.setattr(rentsim.bench, "_run_trial", trials.append)
+    argv = ["bench", "--strategies", "nf,mtf", "--n", "20", "--e", "10", "--t", "40",
+            "--mu", "2", "--trials", "2", "--seed-base", "1", "--oracle"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cell n=20 e=10 t=40 mu=2: the oracle needs n <= {ORACLE_DEFAULT_LIMIT}, "
+        "got 20\n")
+    assert trials == []
+
+
 def test_cli_generate_bad_eps_exits_2(tmp_path, capsys):
     argv = ["generate", "adversarial", "--eps", "1/0", "--mu", "3", "--phases", "1",
             "--target", "nf", "--out", str(tmp_path / "adv.csv")]
@@ -350,6 +382,23 @@ def test_cli_run_bad_nf_k_exits_2(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] != outputs[2]
     assert "check nf_worst_case_small_k=2:" in outputs[2]
+
+
+@pytest.mark.parametrize("k, reason", [
+    ("0", "k=0 is below 2"),
+    ("5", "job 2 has size 4 > E/k = 2"),  # the largest job of the three, at E=10
+])
+def test_cli_run_says_why_nf_k_adds_no_check(tmp_path, capsys, k, reason):
+    seq_path = tmp_path / "ex.csv"
+    _write_three_job_instance(seq_path)
+    assert main(["run", "nf", str(seq_path)]) == 0
+    plain = capsys.readouterr()
+    assert main(["run", "nf", str(seq_path), "--nf-k", k]) == 0
+    out, err = capsys.readouterr()
+    assert out == plain.out
+    assert err == f"note: --nf-k {k} adds no check: {reason}\n"
+    assert main(["run", "nf", str(seq_path), "--nf-k", "2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys):

@@ -141,18 +141,35 @@ def test_stats_internal_inequalities(seq):
     assert stats.mu >= 1
 
 
-def _trace(seq, servers):
-    assignments = {jid: srv.id for srv in servers for jid in srv.jobs}
-    return PlacementTrace(
-        sequence=seq, assignments=assignments, servers=tuple(servers)
-    )
+def test_trace_derives_each_server_from_its_jobs_and_close():
+    seq = JobSequence([Job(1, 2, 3, 9), Job(2, 2, 1, 5), Job(3, 2, 4, 6)], CapacityConfig(10))
+    trace = PlacementTrace(seq, {3: 2, 1: 1, 2: 1, 7: 3}, {1: 4})
+    assert trace.servers == (
+        ServerRecord(1, opened_at=1, released_at=9, closed_at=4, jobs=(1, 2)),
+        ServerRecord(2, opened_at=4, released_at=6, closed_at=None, jobs=(3,)),
+    )  # id order, jobs in placement order; job 7 is no job of the sequence
+    assert trace.servers is trace.servers
+    assert [str(v) for v in validate_trace(trace)] == ["unknown-job-in-server job=7 server=3"]
+
+
+@pytest.mark.parametrize("closes, flagged", [
+    ({1: 3}, []),  # a close in the step of the last placement
+    ({1: 8}, []),
+    ({1: 9}, ["close-outside-rental t=9 server=1"]),  # at the release
+    ({1: 0}, ["placement-after-close t=1 job=2 server=1 closed at 0",
+              "placement-after-close t=3 job=1 server=1 closed at 0",
+              "close-outside-rental t=0 server=1"]),  # before the opening
+    ({2: 4}, ["close-outside-rental t=4 server=2"]),  # a server never rented
+])
+def test_validate_flags_close_outside_rental(closes, flagged):
+    seq = JobSequence([Job(1, 2, 3, 9), Job(2, 2, 1, 5)], CapacityConfig(10))
+    assert [str(v) for v in validate_trace(PlacementTrace(seq, {1: 1, 2: 1}, closes))] \
+        == flagged
 
 
 def test_validate_flags_capacity_overflow():
     seq = JobSequence([Job(1, 7, 0, 6), Job(2, 4, 2, 5)], CapacityConfig(10))
-    trace = _trace(
-        seq, [ServerRecord(1, opened_at=0, released_at=6, closed_at=None, jobs=(1, 2))]
-    )
+    trace = PlacementTrace(seq, {1: 1, 2: 1}, {})
     violations = validate_trace(trace)
     assert [v.invariant for v in violations] == ["capacity-exceeded"]
     assert violations[0].time == 2  # the overlap starts when job 2 arrives
@@ -167,18 +184,13 @@ def test_capacity_sweep_matches_the_per_arrival_scan(seq, spec, data):
     groups: dict[int, list[Job]] = {}
     for job in seq.jobs:
         groups.setdefault(data.draw(st.integers(1, k)), []).append(job)
-    overfull = _trace(seq, [
-        ServerRecord(sid, min(j.arrival for j in jobs), max(j.departure for j in jobs),
-                     None, tuple(j.id for j in jobs))
-        for sid, jobs in sorted(groups.items())
-    ])
+    overfull = PlacementTrace(
+        seq, {job.id: sid for sid, jobs in sorted(groups.items()) for job in jobs}, {})
     # tampered: one server of the clean trace gains a job, its own, another
     # server's or one the sequence does not have
-    servers = list(clean.servers)
-    i = data.draw(st.integers(0, len(servers) - 1))
+    sid = data.draw(st.sampled_from(sorted(set(clean.assignments.values()))))
     extra = data.draw(st.integers(1, len(seq) + 1))
-    servers[i] = dataclasses.replace(servers[i], jobs=servers[i].jobs + (extra,))
-    tampered = dataclasses.replace(clean, servers=tuple(servers))
+    tampered = dataclasses.replace(clean, assignments={**clean.assignments, extra: sid})
     assert reference_capacity_violations(clean) == []
     for trace in (clean, overfull, tampered):
         assert [v for v in validate_trace(trace) if v.invariant == "capacity-exceeded"] \
@@ -186,12 +198,13 @@ def test_capacity_sweep_matches_the_per_arrival_scan(seq, spec, data):
 
 
 def test_validate_flags_early_release():
+    # the log releases the server when job 2 leaves, though job 1 stays until 6
     seq = JobSequence([Job(1, 2, 0, 6), Job(2, 2, 0, 2)], CapacityConfig(10))
-    trace = _trace(
-        seq, [ServerRecord(1, opened_at=0, released_at=2, closed_at=None, jobs=(1, 2))]
-    )
-    assert [v.invariant for v in validate_trace(trace)] == [
-        "release-not-at-last-departure"
+    log = (Event(0, "arrive", 1), Event(0, "place", 1, 1), Event(0, "arrive", 2),
+           Event(0, "place", 2, 1), Event(2, "depart", 2, 1), Event(2, "release", None, 1),
+           Event(6, "depart", 1, 1))
+    assert [str(v) for v in validate_trace(trace_from_events(seq, log))] == [
+        "event-at-wrong-step t=2 server=1 release expected at 6"
     ]
 
 
@@ -202,9 +215,7 @@ def test_validate_flags_early_release():
 ])
 def test_validate_flags_server_empty_before_release(second, flagged):
     seq = JobSequence([Job(1, 2, 1, 3), second], CapacityConfig(10))
-    trace = _trace(
-        seq, [ServerRecord(1, opened_at=1, released_at=7, closed_at=None, jobs=(1, 2))]
-    )
+    trace = PlacementTrace(seq, {1: 1, 2: 1}, {})
     violations = validate_trace(trace)
     assert [v.invariant for v in violations] == (
         ["server-empty-before-release"] if flagged else []
@@ -217,10 +228,7 @@ def test_validate_flags_server_empty_before_release(second, flagged):
 def test_validate_flags_placement_after_close(closed_at, flagged):
     # a job may land in a server in the step that closes it, never later
     seq = JobSequence([Job(1, 2, 0, 9), Job(2, 2, 4, 6)], CapacityConfig(10))
-    trace = _trace(
-        seq, [ServerRecord(1, opened_at=0, released_at=9, closed_at=closed_at,
-                           jobs=(1, 2))]
-    )
+    trace = PlacementTrace(seq, {1: 1, 2: 1}, {} if closed_at is None else {1: closed_at})
     violations = validate_trace(trace)
     assert [v.invariant for v in violations] == (
         ["placement-after-close"] if flagged else []
@@ -230,17 +238,12 @@ def test_validate_flags_placement_after_close(closed_at, flagged):
 
 
 def test_validate_flags_double_assignment_and_missing_job():
+    # a trace maps each job to one server, so only a log can place a job twice
     seq = JobSequence([Job(1, 2, 0, 3), Job(2, 2, 0, 3)], CapacityConfig(10))
-    trace = PlacementTrace(
-        sequence=seq,
-        assignments={1: 1},
-        servers=(
-            ServerRecord(1, opened_at=0, released_at=3, closed_at=None, jobs=(1,)),
-            ServerRecord(2, opened_at=0, released_at=3, closed_at=None, jobs=(1,)),
-        ),
-    )
-    names = {v.invariant for v in validate_trace(trace)}
-    assert "job-in-multiple-servers" in names
+    log = (Event(0, "arrive", 1), Event(0, "place", 1, 1), Event(0, "place", 1, 2),
+           Event(3, "depart", 1, 2), Event(3, "release", None, 2))
+    names = {v.invariant for v in validate_trace(trace_from_events(seq, log))}
+    assert "event-repeated" in names
     assert "job-not-assigned" in names
 
 
