@@ -110,8 +110,10 @@ def cmd_run(args) -> int:
     )
     if args.events:
         write_event_csv(result.trace.events, args.events)
-    if args.nf_k is not None and result.strategy == "nf":
-        if (reason := nf_small_k_unmet(seq, args.nf_k)) is not None:
+    if args.nf_k is not None:
+        reason = (nf_small_k_unmet(seq, args.nf_k) if result.strategy == "nf"
+                  else f"it bounds nf only, not {result.strategy}")
+        if reason is not None:
             print(f"note: --nf-k {args.nf_k} adds no check: {reason}", file=sys.stderr)
 
     if args.json:

@@ -19,10 +19,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, mul, sub
+from itertools import repeat
+from operator import attrgetter, gt, itemgetter, mul, sub
 from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "PlacementTrace",
     "Violation",
     "compute_stats",
+    "utilization",
     "validate_trace",
     "first_overload",
     "merge_intervals",
@@ -76,6 +79,24 @@ class Job:
                 f"job {self.id}: departure {self.departure} must exceed arrival {self.arrival}"
             )
 
+    @classmethod
+    def from_columns(cls, ids, sizes, arrivals, departures) -> list[Job]:
+        """``Job(*row)`` for every row of four equal-length columns, built in C.
+
+        The columns are checked as ``__post_init__`` checks each row; if any
+        row fails, the rows are built one by one, so the first bad row raises
+        its own message.
+        """
+        if (min(sizes, default=1) < 1 or min(arrivals, default=0) < 0
+                or not all(map(gt, departures, arrivals))):
+            return list(map(cls, ids, sizes, arrivals, departures))
+        jobs = list(map(object.__new__, repeat(cls, len(ids))))
+        # each slot's descriptor stores past the frozen __setattr__
+        for name, column in zip(("id", "size", "arrival", "departure"),
+                                (ids, sizes, arrivals, departures)):
+            deque(map(cls.__dict__[name].__set__, jobs, column), 0)
+        return jobs
+
     @property
     def length(self) -> int:
         return self.departure - self.arrival
@@ -105,34 +126,36 @@ class JobSequence:
 
     def __init__(self, jobs: Iterable[Job], capacity: CapacityConfig):
         ordered = tuple(sorted(jobs, key=attrgetter("arrival")))
-        seen: set[int] = set()
-        for job in ordered:
-            if job.id in seen:
-                raise ValueError(f"duplicate job id {job.id}")
-            seen.add(job.id)
-            if job.size > capacity.e:
-                raise ValueError(
-                    f"job {job.id}: size {job.size} exceeds capacity {capacity.e}"
-                )
+        # checked by column; the per-job loop runs only to name the first offender
+        if (len(set(map(attrgetter("id"), ordered))) < len(ordered)
+                or max(map(attrgetter("size"), ordered), default=0) > capacity.e):
+            seen: set[int] = set()
+            for job in ordered:
+                if job.id in seen:
+                    raise ValueError(f"duplicate job id {job.id}")
+                seen.add(job.id)
+                if job.size > capacity.e:
+                    raise ValueError(
+                        f"job {job.id}: size {job.size} exceeds capacity {capacity.e}"
+                    )
         object.__setattr__(self, "jobs", ordered)
         object.__setattr__(self, "capacity", capacity)
 
     @cached_property
-    def timeline(self) -> tuple[tuple[int, tuple[Job, ...], tuple[Job, ...]], ...]:
-        """``(t, departures, arrivals)`` for every step with an event, in time order.
+    def timeline(self) -> tuple[tuple[int, int, int, bool], ...]:
+        """``(t, job_id, size, arriving)`` for every departure and arrival, in time order.
 
-        Both tuples list jobs in sequence order.  Computed once per sequence,
-        so every run over it shares one schedule.
+        Within a step every departure comes before every arrival, each in
+        sequence order: one stable sort on ``(t, arriving)``.  Computed once
+        per sequence, so every run over it shares one schedule.
         """
-        arrivals_at: dict[int, list[Job]] = {}
-        departures_at: dict[int, list[Job]] = {}
-        for job in self.jobs:
-            arrivals_at.setdefault(job.arrival, []).append(job)
-            departures_at.setdefault(job.departure, []).append(job)
-        return tuple(
-            (t, tuple(departures_at.get(t, ())), tuple(arrivals_at.get(t, ())))
-            for t in sorted(arrivals_at.keys() | departures_at.keys())
-        )
+        jobs = self.jobs
+        ids = list(map(attrgetter("id"), jobs))
+        sizes = list(map(attrgetter("size"), jobs))
+        rows = list(zip(map(attrgetter("departure"), jobs), ids, sizes, repeat(False)))
+        rows += zip(map(attrgetter("arrival"), jobs), ids, sizes, repeat(True))
+        rows.sort(key=itemgetter(0, 3))
+        return tuple(rows)
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -206,6 +229,13 @@ def fraction_json(value: Fraction | int) -> int | str:
     return int(frac) if frac.denominator == 1 else str(frac)
 
 
+def utilization(seq: JobSequence) -> Fraction:
+    """Sum of size * length over capacity: the ``util`` lower bound on any cost."""
+    jobs = seq.jobs
+    lengths = map(sub, map(attrgetter("departure"), jobs), map(attrgetter("arrival"), jobs))
+    return Fraction(sum(map(mul, map(attrgetter("size"), jobs), lengths)), seq.capacity.e)
+
+
 def compute_stats(seq: JobSequence) -> SequenceStats:
     """Compute span, utilization and the length statistics of a sequence."""
     if not seq.jobs:
@@ -218,7 +248,7 @@ def compute_stats(seq: JobSequence) -> SequenceStats:
     delta = min(lengths)
     return SequenceStats(
         span=union_measure(zip(arrivals, departures)),
-        util=Fraction(sum(map(mul, sizes, lengths)), e),
+        util=utilization(seq),
         total_size=Fraction(sum(sizes), e),
         total_length=sum(lengths),
         delta=delta,
@@ -285,15 +315,25 @@ class PlacementTrace:
         the sequence does not have are skipped.  Built on first read.
         """
         jobs_by_id = {job.id: job for job in self.sequence.jobs}
-        placed: dict[int, list[Job]] = {}
+        opened: dict[int, int] = {}
+        released: dict[int, int] = {}
+        placed: dict[int, list[int]] = {}
         for jid, sid in self.assignments.items():
-            if (job := jobs_by_id.get(jid)) is not None:
-                placed.setdefault(sid, []).append(job)
+            if (job := jobs_by_id.get(jid)) is None:
+                continue
+            if sid in placed:
+                placed[sid].append(job.id)
+                if job.arrival < opened[sid]:
+                    opened[sid] = job.arrival
+                if job.departure > released[sid]:
+                    released[sid] = job.departure
+            else:
+                placed[sid] = [job.id]
+                opened[sid] = job.arrival
+                released[sid] = job.departure
         closed_at = self.closed_at
         return tuple(
-            ServerRecord(sid, min(job.arrival for job in jobs),
-                         max(job.departure for job in jobs), closed_at.get(sid),
-                         tuple(job.id for job in jobs))
+            ServerRecord(sid, opened[sid], released[sid], closed_at.get(sid), tuple(jobs))
             for sid, jobs in sorted(placed.items()))
 
 

@@ -11,20 +11,25 @@ One live view per run: the engine holds one ``(id, level, tag)`` tuple per
 placeable server in a dict, replaced only when that server gains or loses a
 job or is closed or released, and its one :class:`ArrivalView` shows that
 dict's ``values()``; each arrival sets the view's job id, size and time, so
-a view is valid only while ``place`` runs.  A step's releases come from the
-departures that empty a server, so no step scans every live server.
+a view is valid only while ``place`` runs.
+
+A run is one loop over the sequence's cached
+:attr:`~rentsim.core.JobSequence.timeline`, one flat ``(t, job_id, size,
+arriving)`` row per departure and arrival with every departure of a step
+before its arrivals, shared by every run over it.  A departure that empties
+a server releases it at once, so no step scans every live server; when
+events are recorded, a step's release rows follow its depart rows, in id
+order, and precede its arrive rows.
 
 Per-server state is two plain lists indexed by server id (level, tag), not
 one object per server, and a dict of the closed servers' close steps.  Sizes
 are at least 1, so a server is empty exactly when its level is 0; every id a
 strategy names is checked against the placeable servers, never by list
 bounds.  The cost is a running sum: each opening subtracts its step and each
-release adds its step.  The step schedule is the sequence's cached
-:attr:`~rentsim.core.JobSequence.timeline`, shared by every run over it.
-Decisions and events are named tuples, event rows built by
-``tuple.__new__`` in C and each decision unpacked once, and each server in
-a view is a plain tuple.  A named tuple's field reads are slower than slot
-reads, so ``validate_trace`` unpacks each log row and
+release adds its step.  Decisions and events are named tuples, event rows
+built by ``tuple.__new__`` in C and each decision unpacked once, and each
+server in a view is a plain tuple.  A named tuple's field reads are slower
+than slot reads, so ``validate_trace`` unpacks each log row and
 :func:`trace_from_events` reads fields beyond a row's kind only on the rows
 it keeps.  The trace is the run's assignments (in placement order), its
 closes and its events; the trace derives its ``ServerRecord``s on first read
@@ -131,6 +136,11 @@ class RunResult:
         return tuple((srv.id, srv.stretch, srv.closed_period) for srv in self.trace.servers)
 
 
+def _release_rows(t: int, sids: list[int]) -> list[Event]:
+    """One step's release rows, in id (= opening) order."""
+    return [tuple.__new__(Event, (t, "release", None, sid)) for sid in sorted(sids)]
+
+
 def simulate(
     strategy: PlacementStrategy, seq: JobSequence, *, record_events: bool = True
 ) -> RunResult:
@@ -165,34 +175,37 @@ def simulate(
     view = ArrivalView(None, None, None, views.values())
     assignments: dict[int, int] = {}
     events: list[Event] = []
+    # servers released at step released_t, recorded only with the events: their
+    # rows follow the step's depart rows and precede its arrive rows
+    released: list[int] = []
+    released_t = None
 
-    for t, departures, arrivals in seq.timeline:
-        if departures:
-            emptied: list[int] = []
-            for job in departures:
-                sid = assignments[job.id]
-                lvl = level[sid] = level[sid] - job.size
-                if record_events:
-                    events.append(new(Event, (t, "depart", job.id, sid)))
-                if not lvl:
-                    emptied.append(sid)
-                elif sid not in closed:
-                    views[sid] = (sid, lvl, tags[sid])
-            if len(emptied) > 1:
-                emptied.sort()  # ids ascend in opening order
-            for sid in emptied:
+    for t, jid, size, arriving in seq.timeline:
+        if released and (arriving or t != released_t):
+            events += _release_rows(released_t, released)
+            released.clear()
+        if not arriving:
+            sid = assignments[jid]
+            lvl = level[sid] = level[sid] - size
+            if record_events:
+                events.append(new(Event, (t, "depart", jid, sid)))
+            if not lvl:
                 cost += t
                 views.pop(sid, None)
                 if record_events:
-                    events.append(new(Event, (t, "release", None, sid)))
+                    released.append(sid)
+                    released_t = t
+            elif sid not in closed:
+                views[sid] = (sid, lvl, tags[sid])
+            continue
 
-        for job in arrivals:
-            jid = view.job_id = job.id
-            size = view.size = job.size
-            view.time = t
-            if record_events:
-                events.append(new(Event, (t, "arrive", jid, None)))
-            sid, close, tag = decision = place(view)
+        view.job_id = jid
+        view.size = size
+        view.time = t
+        if record_events:
+            events.append(new(Event, (t, "arrive", jid, None)))
+        sid, close, tag = decision = place(view)
+        if close:  # most decisions close nothing; the test costs less than an empty loop
             for cid in close:
                 if cid not in views:
                     raise InfeasiblePlacementError(
@@ -202,27 +215,32 @@ def simulate(
                 del views[cid]
                 if record_events:
                     events.append(new(Event, (t, "close", None, cid)))
-            if sid is None:
-                sid = len(level)
-                cost -= t
-                level.append(size)
-                tags.append(tag)
+        if sid is None:
+            sid = len(level)
+            cost -= t
+            level.append(size)
+            tags.append(tag)
+            views[sid] = (sid, size, tag)
+        else:
+            if sid not in views:
+                raise InfeasiblePlacementError(
+                    f"target server {sid} is not open for placement",
+                    time=t, job_id=jid, decision=decision)
+            lvl = level[sid] + size
+            if lvl > e:
+                raise InfeasiblePlacementError(
+                    f"server {sid} at level {level[sid]} cannot take size {size}",
+                    time=t, job_id=jid, decision=decision)
+            level[sid] = lvl
+            if tag is None:
+                tag = tags[sid]
             else:
-                if sid not in views:
-                    raise InfeasiblePlacementError(
-                        f"target server {sid} is not open for placement",
-                        time=t, job_id=jid, decision=decision)
-                if level[sid] + size > e:
-                    raise InfeasiblePlacementError(
-                        f"server {sid} at level {level[sid]} cannot take size {size}",
-                        time=t, job_id=jid, decision=decision)
-                level[sid] += size
-                if tag is not None:
-                    tags[sid] = tag
-            views[sid] = (sid, level[sid], tags[sid])
-            assignments[jid] = sid
-            if record_events:
-                events.append(new(Event, (t, "place", jid, sid)))
+                tags[sid] = tag
+            views[sid] = (sid, lvl, tag)
+        assignments[jid] = sid
+        if record_events:
+            events.append(new(Event, (t, "place", jid, sid)))
+    events += _release_rows(released_t, released)
 
     return RunResult(
         strategy=strategy.name,

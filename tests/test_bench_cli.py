@@ -384,16 +384,18 @@ def test_cli_run_bad_nf_k_exits_2(tmp_path, capsys):
     assert "check nf_worst_case_small_k=2:" in outputs[2]
 
 
-@pytest.mark.parametrize("k, reason", [
-    ("0", "k=0 is below 2"),
-    ("5", "job 2 has size 4 > E/k = 2"),  # the largest job of the three, at E=10
+@pytest.mark.parametrize("strategy, k, reason", [
+    pytest.param("nf", "0", "k=0 is below 2", id="0-k=0 is below 2"),
+    # the largest job of the three, at E=10
+    pytest.param("nf", "5", "job 2 has size 4 > E/k = 2", id="5-job 2 has size 4 > E/k = 2"),
+    pytest.param("ff", "2", "it bounds nf only, not ff", id="ff-2-it bounds nf only, not ff"),
 ])
-def test_cli_run_says_why_nf_k_adds_no_check(tmp_path, capsys, k, reason):
+def test_cli_run_says_why_nf_k_adds_no_check(tmp_path, capsys, strategy, k, reason):
     seq_path = tmp_path / "ex.csv"
     _write_three_job_instance(seq_path)
-    assert main(["run", "nf", str(seq_path)]) == 0
+    assert main(["run", strategy, str(seq_path)]) == 0
     plain = capsys.readouterr()
-    assert main(["run", "nf", str(seq_path), "--nf-k", k]) == 0
+    assert main(["run", strategy, str(seq_path), "--nf-k", k]) == 0
     out, err = capsys.readouterr()
     assert out == plain.out
     assert err == f"note: --nf-k {k} adds no check: {reason}\n"

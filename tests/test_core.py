@@ -53,6 +53,18 @@ def test_sequence_rejects_duplicates_and_oversize():
         JobSequence([Job(1, 6, 0, 1)], cap)
 
 
+@pytest.mark.parametrize("jobs, message", [
+    ([Job(1, 1, 2, 3), Job(2, 1, 0, 3), Job(2, 6, 1, 3), Job(1, 1, 0, 1)], "duplicate job id 2"),
+    ([Job(1, 1, 2, 3), Job(3, 6, 0, 3), Job(2, 7, 0, 3), Job(1, 1, 0, 1)],
+     "job 3: size 6 exceeds capacity 5"),
+    ([Job(1, 1, 1, 3), Job(2, 6, 1, 3), Job(1, 1, 0, 1)], "duplicate job id 1"),
+])
+def test_sequence_names_the_first_offender_in_arrival_order(jobs, message):
+    with pytest.raises(ValueError) as error:
+        JobSequence(jobs, CapacityConfig(5))
+    assert str(error.value) == message
+
+
 def test_sequence_order_is_stable_on_equal_arrivals():
     jobs = [Job(3, 1, 2, 4), Job(1, 1, 0, 4), Job(2, 1, 2, 3)]
     seq = JobSequence(jobs, CapacityConfig(4))

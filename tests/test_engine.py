@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from rentsim import (
     ArrivalView,
@@ -268,6 +268,12 @@ def _assert_same_run(spec, e, seq, record_events=True):
 
 
 @given(job_sequences(max_jobs=24, max_time=10), st.integers(1, 6), st.booleans())
+# releases at t=2 and t=3, two departure-only steps in a row
+@example(seq=JobSequence([Job(1, 6, 0, 2), Job(2, 6, 0, 3), Job(3, 6, 5, 6)],
+                         CapacityConfig(10)), mu=2, record_events=True)
+# the last step empties server 2 (job 2) before server 1 (job 3) and releases both
+@example(seq=JobSequence([Job(1, 6, 0, 1), Job(2, 6, 0, 4), Job(3, 4, 0, 4)],
+                         CapacityConfig(10)), mu=2, record_events=True)
 def test_simulate_matches_reference_loop(seq, mu, record_events):
     for spec in all_strategy_specs(mu):
         _assert_same_run(spec, seq.capacity.e, seq, record_events)
@@ -297,6 +303,15 @@ def test_strategies_run_back_to_back_share_one_timeline(seq, mu):
     assert "timeline" in vars(shared) and "timeline" not in vars(untouched)
     assert shared == untouched and hash(shared) == hash(untouched)
     assert repr(shared) == repr(untouched)
+
+
+@given(job_sequences(max_jobs=24, max_time=10))
+def test_timeline_is_each_steps_departures_then_arrivals(seq):
+    flat = []
+    for t in sorted({job.arrival for job in seq} | {job.departure for job in seq}):
+        flat += [(t, job.id, job.size, False) for job in seq if job.departure == t]
+        flat += [(t, job.id, job.size, True) for job in seq if job.arrival == t]
+    assert seq.timeline == tuple(flat)
 
 
 _SMALL_DESK = UniformParams(n=300, e=100, t=100, mu=6, seed=7)

@@ -14,6 +14,7 @@ import rentsim
 
 from rentsim import (
     AdversaryParams,
+    Job,
     SplitMix64,
     UniformParams,
     adversary_ratio_bound,
@@ -107,6 +108,18 @@ def test_uniform_sequences_are_seed_deterministic(tmp_path):
     write_sequence_csv(a, pa)
     write_sequence_csv(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("size_max", [None, 500])
+def test_uniform_jobs_equal_jobs_built_row_by_row(size_max):
+    seq = gen_uniform(UniformParams(n=2000, e=1000, t=1000, mu=10, seed=5, size_max=size_max))
+    draws = SplitMix64(5).draw(SplitMix64.ranges((1, size_max or 1000), (1, 990), (1, 10)) * 2000)
+    rows = [Job(i, size, arrival, arrival + length) for i, (size, arrival, length)
+            in enumerate(zip(draws[0::3], draws[1::3], draws[2::3]), 1)]
+    rows.sort(key=lambda job: job.arrival)
+    assert [type(job) for job in seq] == [Job] * len(rows)
+    assert list(seq) == rows
+    assert [hash(job) for job in seq] == [hash(job) for job in rows]
 
 
 def test_uniform_sequences_differ_across_seeds():

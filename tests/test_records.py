@@ -102,6 +102,20 @@ def test_frozen_record_post_init_still_rejects(cls, args, message):
     assert str(error.value) == message
 
 
+@pytest.mark.parametrize("bad, message", [
+    ((2, 0, 0, 5), "job 2: size must be >= 1, got 0"),
+    ((2, 3, -1, 4), "job 2: arrival must be >= 0, got -1"),
+    ((2, 3, 5, 5), "job 2: departure 5 must exceed arrival 5"),
+])
+def test_job_columns_raise_the_first_bad_rows_message(bad, message):
+    # a good row before the bad one and a row failing every check after it
+    rows = [(1, 3, 0, 5), bad, (3, 0, -1, -2)]
+    ids, sizes, arrivals, departures = (list(col) for col in zip(*rows))
+    with pytest.raises(ValueError) as error:
+        Job.from_columns(ids, sizes, arrivals, departures)
+    assert str(error.value) == message
+
+
 def test_frozen_record_post_init_may_normalise_a_field():
     params = AdversaryParams("1/4", 3, 2, 1, "ff", 16)
     assert params.eps == Fraction(1, 4) and type(params.eps) is Fraction
