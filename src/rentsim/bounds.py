@@ -8,13 +8,20 @@ rational arithmetic; a failed check is a defect, not a warning.
 The checkers deliberately assert the strongest inequality computable
 without knowing the offline optimum.  Ratios against OPT are only
 asserted where OPT itself is computable (the tiny-instance oracle).
+
+Exact need not mean ``Fraction`` at every step: the Move To Front check
+sums each segment's jobs and servers by prefix sums over the arrival and
+opening orders, compares each segment in integers scaled by the common
+denominator E * den(mu + 1), and builds one ``Fraction`` for the total.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import attrgetter, itemgetter, mul, sub
 
 from .core import (
     JobSequence,
@@ -217,39 +224,52 @@ def check_mnf_bound(
     )
 
 
+def _segment_sums(keys, values, segments) -> list[int]:
+    """Per segment, the sum of the values whose key lies in its ``[start, end)``.
+
+    ``keys`` is sorted and pairs with ``values``; one prefix sum, two
+    bisections per segment.
+    """
+    prefix = list(accumulate(values, initial=0))
+    return [prefix[bisect_left(keys, end)] - prefix[bisect_left(keys, start)]
+            for start, end in segments]
+
+
 def check_mtf_bound(result: RunResult, stats: SequenceStats) -> BoundEntry:
     """Move To Front guarantee, applied per continuous segment and summed.
 
     Per segment: cost <= 6(mu+1) * util + span + 3(mu+1) * delta, with mu
     and delta taken over the whole sequence (they bound every job length).
     Servers never outlive a segment, so segment costs are well-defined.
-    Jobs and servers are assigned to segments by bisecting the segment
-    starts once; a server opened outside every segment counts nowhere.
+    A job counts in the segment holding its arrival and a server in the one
+    holding its opening; a server opened outside every segment counts
+    nowhere.  With mu + 1 = a/d, each comparison is made in integers scaled
+    by E * d, and the summed formula becomes one ``Fraction`` at the end.
     """
     _require(result, "mtf", "check_mtf_bound")
     seq = result.trace.sequence
     e = seq.capacity.e
     mu1 = stats.mu + 1
-    segments = merge_intervals((j.arrival, j.departure) for j in seq.jobs)
-    starts = [start for start, _ in segments]
-    seg_work = [0] * len(segments)  # sum of size * length per segment
-    seg_cost = [0] * len(segments)
-    for j in seq.jobs:  # a job's arrival always lies in its own segment
-        seg_work[bisect_right(starts, j.arrival) - 1] += j.size * (j.departure - j.arrival)
-    for srv in result.trace.servers:
-        i = bisect_right(starts, srv.opened_at) - 1
-        if i >= 0 and srv.opened_at < segments[i][1]:
-            seg_cost[i] += srv.stretch
-    satisfied = True
-    total_formula = Fraction(0)
-    for (start, end), work, cost in zip(segments, seg_work, seg_cost):
-        seg_bound = 6 * mu1 * Fraction(work, e) + (end - start) + 3 * mu1 * stats.delta
-        total_formula += seg_bound
-        if cost > seg_bound:
-            satisfied = False
+    a, scale = mu1.numerator, e * mu1.denominator
+    arrivals = list(map(attrgetter("arrival"), seq.jobs))  # sorted: jobs are in arrival order
+    departures = list(map(attrgetter("departure"), seq.jobs))
+    segments = merge_intervals(zip(arrivals, departures))
+    work = list(map(mul, map(attrgetter("size"), seq.jobs), map(sub, departures, arrivals)))
+    seg_work = _segment_sums(arrivals, work, segments)
+    servers = result.trace.servers
+    opened = list(map(attrgetter("opened_at"), servers))
+    by_opening = sorted(zip(opened, map(sub, map(attrgetter("released_at"), servers), opened)))
+    seg_cost = _segment_sums(list(map(itemgetter(0), by_opening)),
+                             map(itemgetter(1), by_opening), segments)
+    # scaled by E * d: 6(mu+1) * work / E -> 6a * work, span -> span * E * d,
+    # 3(mu+1) * delta -> 3a * delta * E
+    fixed = 3 * a * stats.delta * e
+    satisfied = all(cost * scale <= 6 * a * w + (end - start) * scale + fixed
+                    for (start, end), w, cost in zip(segments, seg_work, seg_cost))
+    span = sum(end - start for start, end in segments)
     return BoundEntry(
         name="mtf_guarantee",
-        formula_value=total_formula,
+        formula_value=Fraction(6 * a * sum(work) + span * scale + fixed * len(segments), scale),
         cost=Fraction(result.total_cost),
         satisfied=satisfied,
     )

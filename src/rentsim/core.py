@@ -14,6 +14,14 @@ Conventions used throughout the package:
   inequalities can be checked exactly;
 * a trace is its assignments and its closes; each server record is derived
   from them on read, never stored, so it cannot disagree with its jobs.
+
+Records built in bulk (the jobs of a generated sequence, a trace's server
+records) are made in C by one helper, ``_build_slotted``, which stores
+whole columns through the slot descriptors.  ``validate_trace`` does per
+server only the work that can find a violation: a one-job server is not
+sorted, and the running load sum runs only when the members' sizes add up
+past E.  Both readers name the line of a malformed row, and of a byte that
+is not UTF-8 (``decode_error``).
 """
 
 from __future__ import annotations
@@ -60,6 +68,18 @@ EVENT_KINDS = {
 }
 
 
+def _build_slotted(cls, n: int, *columns: Iterable) -> list:
+    """``n`` instances of a slotted class, column ``i`` stored in slot ``i``, built in C.
+
+    Each slot's descriptor stores past a frozen dataclass's ``__setattr__``
+    and nothing runs ``__post_init__``: callers pass only rows they checked.
+    """
+    objs = list(map(object.__new__, repeat(cls, n)))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, objs, column), 0)
+    return objs
+
+
 @dataclass(frozen=True, slots=True)
 class Job:
     """One demand: occupies ``size`` capacity units during [arrival, departure)."""
@@ -90,12 +110,7 @@ class Job:
         if (min(sizes, default=1) < 1 or min(arrivals, default=0) < 0
                 or not all(map(gt, departures, arrivals))):
             return list(map(cls, ids, sizes, arrivals, departures))
-        jobs = list(map(object.__new__, repeat(cls, len(ids))))
-        # each slot's descriptor stores past the frozen __setattr__
-        for name, column in zip(("id", "size", "arrival", "departure"),
-                                (ids, sizes, arrivals, departures)):
-            deque(map(cls.__dict__[name].__set__, jobs, column), 0)
-        return jobs
+        return _build_slotted(cls, len(ids), ids, sizes, arrivals, departures)
 
     @property
     def length(self) -> int:
@@ -187,15 +202,22 @@ class SequenceStats:
 def merge_intervals(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Maximal disjoint segments covering a set of half-open integer intervals.
 
-    Overlapping, nested and touching intervals merge; segments come out sorted.
+    Overlapping, nested and touching intervals merge; segments come out
+    sorted.  One pass over the sorted intervals, the open segment held in
+    locals until the next interval starts past its end.
     """
+    ordered = sorted(intervals)
+    if not ordered:
+        return []
     merged: list[tuple[int, int]] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
+    seg_start, seg_end = ordered[0]
+    for start, end in ordered:
+        if start > seg_end:
+            merged.append((seg_start, seg_end))
+            seg_start, seg_end = start, end
+        elif end > seg_end:
+            seg_end = end
+    merged.append((seg_start, seg_end))
     return merged
 
 
@@ -322,19 +344,20 @@ class PlacementTrace:
             if (job := jobs_by_id.get(jid)) is None:
                 continue
             if sid in placed:
-                placed[sid].append(job.id)
+                placed[sid].append(jid)
                 if job.arrival < opened[sid]:
                     opened[sid] = job.arrival
                 if job.departure > released[sid]:
                     released[sid] = job.departure
             else:
-                placed[sid] = [job.id]
+                placed[sid] = [jid]
                 opened[sid] = job.arrival
                 released[sid] = job.departure
-        closed_at = self.closed_at
-        return tuple(
-            ServerRecord(sid, opened[sid], released[sid], closed_at.get(sid), tuple(jobs))
-            for sid, jobs in sorted(placed.items()))
+        ids = sorted(placed)
+        return tuple(_build_slotted(
+            ServerRecord, len(ids), ids, map(opened.__getitem__, ids),
+            map(released.__getitem__, ids), map(self.closed_at.get, ids),
+            map(tuple, map(placed.__getitem__, ids))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,27 +412,31 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
         if job.id not in assignments:
             violations.append(Violation("job-not-assigned", job_id=job.id))
 
+    get_arrival, get_size = attrgetter("arrival"), attrgetter("size")
     for srv in trace.servers:
-        members = [jobs_by_id[jid] for jid in srv.jobs]
-        # in arrival order, a job arriving once every earlier job has departed
-        # lands in a server that was empty (departures precede arrivals within
-        # a step) and so should have been released; a job arriving after the
-        # close went into a closed server (receiving a job and being closed in
-        # one step is allowed)
-        members.sort(key=lambda job: job.arrival)
-        latest_departure = members[0].departure
-        for job in members[1:]:
-            if job.arrival >= latest_departure:
-                violations.append(Violation("server-empty-before-release", job.arrival, job.id,
-                                            srv.id, f"empty since {latest_departure}"))
-                break
-            latest_departure = max(latest_departure, job.departure)
+        members = list(map(jobs_by_id.__getitem__, srv.jobs))
+        if len(members) > 1:
+            # in arrival order, a job arriving once every earlier job has
+            # departed lands in a server that was empty (departures precede
+            # arrivals within a step) and so should have been released
+            members.sort(key=get_arrival)
+            latest_departure = members[0].departure
+            for job in members[1:]:
+                if job.arrival >= latest_departure:
+                    violations.append(Violation("server-empty-before-release", job.arrival,
+                                                job.id, srv.id, f"empty since {latest_departure}"))
+                    break
+                latest_departure = max(latest_departure, job.departure)
+        # a job arriving after the close went into a closed server (receiving
+        # a job and being closed in one step is allowed)
         if srv.closed_at is not None:
             for job in members:
                 if job.arrival > srv.closed_at:
                     violations.append(Violation("placement-after-close", job.arrival, job.id,
                                                 srv.id, f"closed at {srv.closed_at}"))
-        if (overload := first_overload(members, e)) is not None:
+        # the load can pass E only if the members' sizes add up past it
+        if (sum(map(get_size, members)) > e
+                and (overload := first_overload(members, e)) is not None):
             violations.append(Violation("capacity-exceeded", time=overload[0], server_id=srv.id,
                                         detail=f"load {overload[1]} > {e}"))
 
@@ -474,6 +501,21 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
     return violations
 
 
+def decode_error(path, exc: UnicodeDecodeError) -> ValueError:
+    """``exc`` as a ValueError naming the first line of ``path`` that is not UTF-8.
+
+    Lines are split where the readers split them: at LF, CR or CRLF.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    for lineno, line in enumerate(lines, 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as line_exc:
+            return ValueError(f"line {lineno}: {line_exc}")
+    return exc
+
+
 def write_sequence_csv(seq: JobSequence, path) -> None:
     """Write the interchange CSV: a capacity comment line, header, one job per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -487,55 +529,59 @@ def write_sequence_csv(seq: JobSequence, path) -> None:
 def read_sequence_csv(path) -> JobSequence:
     """Read the interchange CSV written by :func:`write_sequence_csv`.
 
-    A malformed line raises ValueError naming its line number.
+    A malformed line, or one that is not UTF-8, raises ValueError naming its
+    line number.
     """
     capacity: int | None = None
     rows: list[Job] = []
     job_line: dict[int, int] = {}  # job id -> line number
     header_seen = False
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("capacity="):
-                    value = body.split("=", 1)[1]
-                    try:
-                        capacity = int(value)
-                    except ValueError:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    if body.startswith("capacity="):
+                        value = body.split("=", 1)[1]
+                        try:
+                            capacity = int(value)
+                        except ValueError:
+                            raise ValueError(
+                                f"line {lineno}: capacity {value!r} is not an integer"
+                            ) from None
+                        try:
+                            CapacityConfig(capacity)
+                        except ValueError as exc:
+                            raise ValueError(f"line {lineno}: {exc}") from None
+                    continue
+                fields = next(csv.reader([line]))
+                if not header_seen:
+                    if fields != CSV_HEADER:
                         raise ValueError(
-                            f"line {lineno}: capacity {value!r} is not an integer"
-                        ) from None
-                    try:
-                        CapacityConfig(capacity)
-                    except ValueError as exc:
-                        raise ValueError(f"line {lineno}: {exc}") from None
-                continue
-            fields = next(csv.reader([line]))
-            if not header_seen:
-                if fields != CSV_HEADER:
+                            f"line {lineno}: bad header {fields!r}, expected {CSV_HEADER}"
+                        )
+                    header_seen = True
+                    continue
+                if len(fields) != len(CSV_HEADER):
                     raise ValueError(
-                        f"line {lineno}: bad header {fields!r}, expected {CSV_HEADER}"
+                        f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(fields)}"
                     )
-                header_seen = True
-                continue
-            if len(fields) != len(CSV_HEADER):
-                raise ValueError(
-                    f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(fields)}"
-                )
-            try:
-                job = Job(*(int(v) for v in fields))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if job.id in job_line:
-                raise ValueError(
-                    f"line {lineno}: duplicate job id {job.id} (first on line "
-                    f"{job_line[job.id]})"
-                )
-            job_line[job.id] = lineno
-            rows.append(job)
+                try:
+                    job = Job(*(int(v) for v in fields))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                if job.id in job_line:
+                    raise ValueError(
+                        f"line {lineno}: duplicate job id {job.id} (first on line "
+                        f"{job_line[job.id]})"
+                    )
+                job_line[job.id] = lineno
+                rows.append(job)
+    except UnicodeDecodeError as exc:
+        raise decode_error(path, exc) from None
     if not header_seen:
         raise ValueError("missing header line")
     if capacity is None:

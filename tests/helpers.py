@@ -12,11 +12,15 @@ incremental one in ``rentsim.engine`` is compared with, trace for trace, and
 ``reference_draw`` is the one-output-at-a-time SplitMix64 loop that the
 lane-parallel ``SplitMix64.draw`` is compared with, and
 ``reference_compute_stats`` the per-job statistics that the column passes of
-``rentsim.compute_stats`` are compared with.
+``rentsim.compute_stats`` are compared with.  ``reference_write_event_csv``
+and ``reference_read_event_csv`` are the ``csv``-module writer and per-row
+reader that the one-block writer and the column-checked reader in
+``rentsim.engine`` are compared with, byte for byte and row for row.
 """
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -32,7 +36,15 @@ from rentsim import (
     ServerRecord,
 )
 from rentsim.bounds import BoundEntry
-from rentsim.core import Event, SequenceStats, Violation, merge_intervals, union_measure
+from rentsim.core import (
+    EVENT_KINDS,
+    Event,
+    SequenceStats,
+    Violation,
+    merge_intervals,
+    union_measure,
+)
+from rentsim.engine import EVENT_HEADER
 
 
 @st.composite
@@ -240,6 +252,50 @@ def reference_check_mtf_bound(result, stats) -> BoundEntry:
         cost=Fraction(result.total_cost),
         satisfied=satisfied,
     )
+
+
+def reference_write_event_csv(events, path) -> None:
+    """Differential oracle for ``write_event_csv``: ``csv.writer``, row by row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(EVENT_HEADER)
+        writer.writerows(events)
+
+
+def reference_read_event_csv(path) -> tuple[Event, ...]:
+    """Differential oracle for ``read_event_csv``: one ``csv.reader`` row at a
+    time.  The same rows and messages, except that it lets a row carry an id
+    its kind does not carry, and names no line for a byte that is not UTF-8."""
+    events: list[Event] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != EVENT_HEADER:
+            raise ValueError(f"bad event header {header!r}, expected {EVENT_HEADER}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(EVENT_HEADER):
+                raise ValueError(
+                    f"line {reader.line_num}: expected {len(EVENT_HEADER)} fields, "
+                    f"got {len(row)}"
+                )
+            t, kind, job_id, server_id = row
+            spec = EVENT_KINDS.get(kind)
+            if spec is None:
+                raise ValueError(f"line {reader.line_num}: unknown event kind {kind!r}")
+            _, needs_job, needs_server = spec
+            if needs_job and not job_id or needs_server and not server_id:
+                missing = "job" if needs_job and not job_id else "server"
+                raise ValueError(
+                    f"line {reader.line_num}: {kind} event without a {missing} id"
+                )
+            try:
+                events.append(Event(int(t), kind, int(job_id) if job_id else None,
+                                    int(server_id) if server_id else None))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return tuple(events)
 
 
 def reference_capacity_violations(trace) -> list[Violation]:

@@ -29,6 +29,7 @@ from rentsim.bench import (
     summary_table,
 )
 from rentsim.cli import main
+from rentsim.engine import EVENT_BLOCK_CHARS
 from rentsim.strategies import build_strategy
 
 from helpers import exact_ratio
@@ -311,6 +312,106 @@ def test_cli_verify_event_row_without_its_ids_exits_2(tmp_path, capsys):
                        encoding="utf-8")
     assert main(["verify", str(seq_path), str(ev_path)]) == 2
     assert capsys.readouterr().err == "error: line 3: place event without a server id\n"
+
+
+def _write_first_fit_log(tmp_path):
+    """The First Fit run of five jobs at E=10, with its event log."""
+    seq_path, ev_path = tmp_path / "ex.csv", tmp_path / "ev.csv"
+    write_sequence_csv(
+        JobSequence([Job(1, 6, 0, 5), Job(2, 6, 4, 8), Job(3, 3, 4, 6), Job(4, 2, 6, 9),
+                     Job(5, 5, 7, 10)], CapacityConfig(10)),
+        seq_path,
+    )
+    assert main(["run", "ff", str(seq_path), "--events", str(ev_path)]) == 0
+    return seq_path, ev_path
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [("4,arrive,2,\n", "4,arrive,2,99\n", "line 4: arrive event with a server id"),
+     # every release row gains a job id; the first is on line 10
+     (",release,,", ",release,77,", "line 10: release event with a job id")],
+    ids=["extra-server-id", "extra-job-id"],
+)
+def test_cli_verify_event_row_with_an_id_its_kind_lacks_exits_2(
+        tmp_path, capsys, old, new, message):
+    seq_path, ev_path = _write_first_fit_log(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(seq_path), str(ev_path)]) == 0
+    assert capsys.readouterr().out == "ok: 5 jobs, 3 servers, no violations\n"
+    text = ev_path.read_text(encoding="utf-8")
+    assert old in text
+    ev_path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["verify", str(seq_path), str(ev_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, code, stream, expected",
+    [
+        # csv.reader accepts a quoted field, CRLF line ends and a blank line
+        (lambda text: text.replace("4,place,3,2\n", '4,"place",3,"2"\n'), 0, "out",
+         "ok: 3 jobs, 2 servers, no violations\n"),
+        (lambda text: text.replace("\n", "\r\n"), 0, "out",
+         "ok: 3 jobs, 2 servers, no violations\n"),
+        (lambda text: text.replace("2,arrive,2,\n", "2,arrive,2,\n\n"), 0, "out",
+         "ok: 3 jobs, 2 servers, no violations\n"),
+        (lambda text: text.replace("4,place,3,2\n", "4,place,3,2,\n"), 2, "err",
+         "error: line 8: expected 4 fields, got 5\n"),
+    ],
+    ids=["quoted-field", "crlf", "blank-line", "fifth-field"],
+)
+def test_cli_verify_reads_what_the_csv_module_reads(tmp_path, capsys, edit, code, stream,
+                                                   expected):
+    seq_path, ev_path = _write_next_fit_log(tmp_path)
+    text = ev_path.read_text(encoding="utf-8")
+    edited = edit(text)
+    assert edited != text
+    ev_path.write_bytes(edited.encode("utf-8"))
+    capsys.readouterr()
+    assert main(["verify", str(seq_path), str(ev_path)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out if stream == "out" else captured.err) == expected
+
+
+def test_cli_verify_names_a_bad_row_in_a_later_block(tmp_path, capsys):
+    seq_path, ev_path = tmp_path / "seq.csv", tmp_path / "ev.csv"
+    write_sequence_csv(gen_uniform(UniformParams(n=5000, e=100, t=2000, mu=5, seed=3)),
+                       seq_path)
+    assert main(["run", "ff", str(seq_path), "--events", str(ev_path)]) == 0
+    lines = ev_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert sum(map(len, lines)) > 2 * EVENT_BLOCK_CHARS
+    t, kind, rest = lines[-3].split(",", 2)
+    lines[-3] = f"{t},shut,{rest}"
+    ev_path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(seq_path), str(ev_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {len(lines) - 2}: unknown event kind 'shut'\n")
+
+
+def test_cli_run_names_the_sequence_line_that_is_not_utf8(tmp_path, capsys):
+    seq_path = tmp_path / "ex.csv"
+    _write_three_job_instance(seq_path)
+    data = seq_path.read_bytes()
+    assert data.splitlines()[3] == b"2,4,2,6"
+    seq_path.write_bytes(data.replace(b"2,4,2,6\n", b"2,4,2,6\xe9\n"))
+    assert main(["run", "nf", str(seq_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: 'utf-8' codec can't decode byte 0xe9 in position 7: "
+        "invalid continuation byte\n")
+
+
+def test_cli_verify_names_the_event_line_that_is_not_utf8(tmp_path, capsys):
+    seq_path, ev_path = _write_next_fit_log(tmp_path)
+    data = ev_path.read_bytes()
+    assert data.splitlines()[4] == b"2,close,,1"
+    ev_path.write_bytes(data.replace(b"2,close,,1\n", b"2,close,,1\xe9\n"))
+    capsys.readouterr()
+    assert main(["verify", str(seq_path), str(ev_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 5: 'utf-8' codec can't decode byte 0xe9 in position 10: "
+        "invalid continuation byte\n")
 
 
 def test_cli_verify_bad_event_header_exits_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from rentsim import (
@@ -210,6 +210,14 @@ def test_mtf_bound_checks_each_continuous_segment():
 
 @given(job_sequences(max_jobs=16, max_time=30), st.lists(st.integers(-40, 60), max_size=16))
 @settings(max_examples=80, deadline=None)
+# mu = 1: the moved server costs 5 + 2 * 20 = 45, its segment's bound exactly
+@example(seq=JobSequence([Job(1, 1, 0, 5)], CapacityConfig(6)), shifts=[2])
+# mu = 3/2: the second segment's moved server costs 6 + 3 * 20 = 66, its bound
+# exactly, and one more step of shift passes it
+@example(seq=JobSequence([Job(1, 1, 0, 4), Job(2, 1, 10, 16)], CapacityConfig(3)),
+         shifts=[0, 3])
+@example(seq=JobSequence([Job(1, 1, 0, 4), Job(2, 1, 10, 16)], CapacityConfig(3)),
+         shifts=[0, 4])
 def test_mtf_bound_sweep_matches_reference(seq, shifts):
     stats = compute_stats(seq)
     result = simulate(MoveToFront(seq.capacity.e), seq, record_events=False)

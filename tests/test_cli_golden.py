@@ -3,6 +3,9 @@
 A refactor that must not change behaviour keeps every digest.  The
 digests cover a generated instance, ``run --json --events`` for every
 selection, ``verify`` of each of those logs, and a two-cell bench CSV.
+At the benchmark's battery scale (n=1000, E=T=1000) they also cover, per
+mu, the generated instance, ``run mtf --json --events``, its event log and
+``verify`` of that log.
 When a change alters an output on purpose, the new digest goes here with
 the reason in CHANGES.md.
 """
@@ -75,6 +78,24 @@ GOLDEN = {
 }
 
 
+# battery-scale instances, one per mu; recorded at eac9ffb
+BATTERY_MUS = (2, 10, 100)
+BATTERY_GOLDEN = {
+    2: {"generate": "cdadfaa616b0dbb0c0d7b9567fc9c556792477325db97b2b43662378a1668667",
+        "run": "ff74689f46a7d8040f877bb0e6f02a14f0f3cc54afae7a304fed772d5ff16db3",
+        "events": "4677bc177501054d00618d8bc734cf3cda1ff9f1384075de388ec80f451e4cba",
+        "verify": "9d6e9453ee40eb02da02060bbf0708c0d45dba124dbc3516842d813890b46c58"},
+    10: {"generate": "a6ef9f275b49df131a6d58871033e437140b1a3ff49ea182ecd9d24c277442a9",
+         "run": "c7e4148fe03f6348327ff1ad315bef05fe27999f841c520ff69b158c3d11c9e5",
+         "events": "9395e52fa4532897834d3a601c92354552faea1c310438b707c63b53e827d2fe",
+         "verify": "18313fb1f84418879ecbed6295529af338d41745f4ff04367b727ac411481456"},
+    100: {"generate": "459d8b55f2462e43e2b675066663dc251b0ed5c5b0510d0ad7d6f48c72333be9",
+          "run": "ba75c40ff197437e798d050d23a7a083f2b972029bc4bc2bc6fec404f86e5c0b",
+          "events": "d36189f6634a87d079836c54dadbc06621f71148af8e99f936172c088fc22249",
+          "verify": "ff080444d56b5407b2950204b3ad0bd5d186d36540bce7658f4665f48231074c"},
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -114,3 +135,19 @@ def test_bench_csv_matches_its_digest(tmp_path):
     out = tmp_path / "bench.csv"
     assert _cli([*BENCH_ARGV, "--out", out])[0] == 0
     assert _sha(out.read_bytes()) == GOLDEN["bench"]
+
+
+@pytest.mark.parametrize("mu", BATTERY_MUS)
+def test_battery_scale_mtf_run_and_verify_match_their_digests(tmp_path, mu):
+    seq_path, ev_path = tmp_path / "seq.csv", tmp_path / "events.csv"
+    assert _cli(["generate", "uniform", "--n", 1000, "--e", 1000, "--t", 1000,
+                 "--mu", mu, "--seed", 1, "--out", seq_path])[0] == 0
+    got = {"generate": _sha(seq_path.read_bytes())}
+    code, out = _cli(["run", "mtf", seq_path, "--json", "--events", ev_path])
+    assert code == 0
+    got["run"] = _sha(out)
+    got["events"] = _sha(ev_path.read_bytes())
+    code, out = _cli(["verify", seq_path, ev_path])
+    assert code == 0
+    got["verify"] = _sha(out)
+    assert got == BATTERY_GOLDEN[mu]

@@ -113,6 +113,18 @@ def test_union_measure_handles_nesting_and_touching():
     assert merge_intervals([]) == []
 
 
+@given(job_sequences(max_jobs=30, max_time=40))
+def test_merged_segments_are_sorted_apart_and_cover_the_jobs(seq):
+    intervals = [(job.arrival, job.departure) for job in seq.jobs]
+    segments = merge_intervals(intervals)
+    assert all(start < end for start, end in segments)
+    # sorted, disjoint and not touching: each ends before the next starts
+    assert all(a_end < b_start for (_, a_end), (b_start, _) in zip(segments, segments[1:]))
+    assert all(sum(start <= arrival and departure <= end for start, end in segments) == 1
+               for arrival, departure in intervals)
+    assert union_measure(intervals) == pointwise_span(seq.jobs)
+
+
 @given(job_sequences())
 def test_stats_match_pointwise_span_oracle(seq):
     assert compute_stats(seq).span == pointwise_span(seq.jobs)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import tempfile
+from pathlib import Path
 from typing import NamedTuple
 
 import hypothesis.strategies as st
@@ -24,11 +26,18 @@ from rentsim import (
     simulate,
     validate_trace,
 )
-from rentsim import core
+from rentsim import core, engine
 from rentsim.engine import read_event_csv, trace_from_events, write_event_csv
 from rentsim.strategies import BestFit, FirstFit, MoveToFront, NextFit
 
-from helpers import BATTERY_SEED, all_strategy_specs, job_sequences, reference_simulate
+from helpers import (
+    BATTERY_SEED,
+    all_strategy_specs,
+    job_sequences,
+    reference_read_event_csv,
+    reference_simulate,
+    reference_write_event_csv,
+)
 
 
 class Shown(NamedTuple):
@@ -320,12 +329,16 @@ _SMALL_DESK = UniformParams(n=300, e=100, t=100, mu=6, seed=7)
 @pytest.mark.parametrize("record_events", [True, False])
 def test_records_and_per_server_are_built_on_first_read(monkeypatch, record_events):
     built: list[int] = []
+    build_slotted = core._build_slotted
 
-    def counting_record(*args):
-        built.append(args[0])
-        return ServerRecord(*args)
+    def counting_build(cls, n, ids, *columns):
+        # records are built in C from columns: count the ids of each ServerRecord batch
+        ids = list(ids)
+        if cls is ServerRecord:
+            built.extend(ids)
+        return build_slotted(cls, n, ids, *columns)
 
-    monkeypatch.setattr(core, "ServerRecord", counting_record)
+    monkeypatch.setattr(core, "_build_slotted", counting_build)
     seq = gen_uniform(_SMALL_DESK)
     for spec in all_strategy_specs(_SMALL_DESK.mu):
         result = simulate(build_strategy(spec, seq.capacity.e), seq,
@@ -497,3 +510,63 @@ def test_event_log_round_trip(tmp_path, spec):
     assert rebuilt.assignments == dict(result.trace.assignments)
     assert rebuilt.servers == result.trace.servers
     assert validate_trace(rebuilt) == []
+
+
+@given(job_sequences(), st.integers(1, 6))
+def test_event_csv_matches_the_csv_module_and_round_trips(seq, mu):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, oracle = Path(tmp) / "events.csv", Path(tmp) / "oracle.csv"
+        for spec in all_strategy_specs(mu):
+            log = simulate(build_strategy(spec, seq.capacity.e), seq).trace.events
+            write_event_csv(log, path)
+            reference_write_event_csv(log, oracle)
+            assert path.read_bytes() == oracle.read_bytes(), spec
+            events = read_event_csv(path)
+            assert events == log == reference_read_event_csv(path), spec
+            assert all(type(row) is core.Event for row in events), spec
+
+
+def _read_or_message(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# edits of a log's rows, header excluded; every edit but "plain" puts a line
+# the column check refuses into some block, so the csv-module loop reads on
+# from there
+_LOG_EDITS = {
+    "plain": lambda lines: lines,
+    "quoted-field": lambda lines: lines[:9] + ['"' + lines[9].replace(",", '","') + '"']
+                                  + lines[10:],
+    "crlf": lambda lines: [line + "\r" for line in lines],
+    "cr-only": lambda lines: ["\r".join(lines)],
+    "blank-line": lambda lines: lines[:9] + [""] + lines[9:],
+    "blank-lines-at-end": lambda lines: lines + ["", ""],
+    "fifth-field": lambda lines: lines[:9] + [lines[9] + ",1"] + lines[10:],
+    "late-unknown-kind": lambda lines: lines[:-3] + [lines[-3].replace(",", ",x", 1)]
+                                       + lines[-2:],
+    "late-bad-number": lambda lines: lines[:-3] + [lines[-3] + "x"] + lines[-2:],
+    "empty-time": lambda lines: lines[:9] + ["," + lines[9].split(",", 1)[1]] + lines[10:],
+    "spaced-signed-time": lambda lines: lines[:9] + [" +" + lines[9]] + lines[10:],
+}
+
+
+@pytest.mark.parametrize("block_chars", [1, 97, engine.EVENT_BLOCK_CHARS])
+@pytest.mark.parametrize("edit", sorted(_LOG_EDITS))
+def test_event_csv_reader_matches_the_csv_module_loop(tmp_path, monkeypatch, edit,
+                                                      block_chars):
+    # a battery-sized log: at the default about eight blocks, at 97
+    # characters over 600, and at 1 one block per line
+    seq = gen_uniform(UniformParams(n=1000, e=1000, t=1000, mu=10, seed=BATTERY_SEED))
+    path = tmp_path / "events.csv"
+    write_event_csv(simulate(MoveToFront(1000), seq).trace.events, path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    edited = _LOG_EDITS[edit](lines)
+    path.write_bytes(("\n".join([header, *edited]) + "\n").encode("utf-8"))
+    monkeypatch.setattr(engine, "EVENT_BLOCK_CHARS", block_chars)
+    got = _read_or_message(read_event_csv, path)
+    assert got == _read_or_message(reference_read_event_csv, path)
+    assert (type(got) is str) == (edit in ("fifth-field", "late-unknown-kind",
+                                           "late-bad-number", "empty-time"))
