@@ -298,7 +298,6 @@ def build_report(
     result: RunResult,
     *,
     with_oracle: bool = False,
-    oracle_limit: int = ORACLE_DEFAULT_LIMIT,
     nf_k: Fraction | int | None = None,
 ) -> BoundReport:
     """Gather universal checks plus the checks specific to the run's strategy."""
@@ -314,6 +313,6 @@ def build_report(
         entries.append(check_mtf_bound(result, stats))
     opt_exact: Fraction | None = None
     if with_oracle:
-        opt_exact = Fraction(brute_force_opt(seq, limit=oracle_limit))
+        opt_exact = Fraction(brute_force_opt(seq))
         entries.append(BoundEntry.at_least("cost_geq_opt", opt_exact, result.total_cost))
     return BoundReport(*_lower_bounds(stats), opt_exact=opt_exact, entries=tuple(entries))

@@ -20,7 +20,7 @@ from .bench import (
     run_experiment,
     summary_table,
 )
-from .bounds import ORACLE_DEFAULT_LIMIT, build_report, nf_small_k_unmet
+from .bounds import build_report, nf_small_k_unmet
 from .core import (
     compute_stats,
     fraction_json,
@@ -105,9 +105,7 @@ def cmd_run(args) -> int:
     strategy = build_strategy(args.strategy, seq.capacity.e, mu=stats.mu)
     result = simulate(strategy, seq)
     violations = validate_trace(result.trace)
-    report = build_report(
-        result, with_oracle=args.oracle, oracle_limit=args.oracle_limit, nf_k=args.nf_k
-    )
+    report = build_report(result, with_oracle=args.oracle, nf_k=args.nf_k)
     if args.events:
         write_event_csv(result.trace.events, args.events)
     if args.nf_k is not None:
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("sequence")
     run.add_argument("--oracle", action="store_true",
                      help="compare against the exact optimum (tiny instances)")
-    run.add_argument("--oracle-limit", type=int, default=ORACLE_DEFAULT_LIMIT)
     run.add_argument("--nf-k", type=_fraction, default=None,
                      help="assert the small-size Next Fit bound for this k")
     run.add_argument("--events", default=None, help="write the event log CSV here")

@@ -20,8 +20,9 @@ records) are made in C by one helper, ``_build_slotted``, which stores
 whole columns through the slot descriptors.  ``validate_trace`` does per
 server only the work that can find a violation: a one-job server is not
 sorted, and the running load sum runs only when the members' sizes add up
-past E.  Both readers name the line of a malformed row, and of a byte that
-is not UTF-8 (``decode_error``).
+past E.  Both readers take their lines from one source, ``text_lines``,
+which decodes each line only when it is reached, so a malformed row is
+named before any later line that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter, gt, itemgetter, mul, sub
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "Job",
@@ -501,19 +502,19 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
     return violations
 
 
-def decode_error(path, exc: UnicodeDecodeError) -> ValueError:
-    """``exc`` as a ValueError naming the first line of ``path`` that is not UTF-8.
+def text_lines(path) -> Iterator[str]:
+    """The lines of ``path``, each with its line end, each decoded from UTF-8 when reached.
 
-    Lines are split where the readers split them: at LF, CR or CRLF.
+    Lines are split at LF, CR or CRLF, as ``open(path, newline="")`` splits
+    them; a line that is not UTF-8 raises ValueError naming its number.
     """
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    for lineno, line in enumerate(lines, 1):
+        data = fh.read()
+    for lineno, line in enumerate(data.splitlines(keepends=True), 1):
         try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as line_exc:
-            return ValueError(f"line {lineno}: {line_exc}")
-    return exc
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def write_sequence_csv(seq: JobSequence, path) -> None:
@@ -536,52 +537,48 @@ def read_sequence_csv(path) -> JobSequence:
     rows: list[Job] = []
     job_line: dict[int, int] = {}  # job id -> line number
     header_seen = False
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line.lstrip("#").strip()
-                    if body.startswith("capacity="):
-                        value = body.split("=", 1)[1]
-                        try:
-                            capacity = int(value)
-                        except ValueError:
-                            raise ValueError(
-                                f"line {lineno}: capacity {value!r} is not an integer"
-                            ) from None
-                        try:
-                            CapacityConfig(capacity)
-                        except ValueError as exc:
-                            raise ValueError(f"line {lineno}: {exc}") from None
-                    continue
-                fields = next(csv.reader([line]))
-                if not header_seen:
-                    if fields != CSV_HEADER:
-                        raise ValueError(
-                            f"line {lineno}: bad header {fields!r}, expected {CSV_HEADER}"
-                        )
-                    header_seen = True
-                    continue
-                if len(fields) != len(CSV_HEADER):
-                    raise ValueError(
-                        f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(fields)}"
-                    )
+    for lineno, line in enumerate(text_lines(path), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if body.startswith("capacity="):
+                value = body.split("=", 1)[1]
                 try:
-                    job = Job(*(int(v) for v in fields))
+                    capacity = int(value)
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: capacity {value!r} is not an integer"
+                    ) from None
+                try:
+                    CapacityConfig(capacity)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
-                if job.id in job_line:
-                    raise ValueError(
-                        f"line {lineno}: duplicate job id {job.id} (first on line "
-                        f"{job_line[job.id]})"
-                    )
-                job_line[job.id] = lineno
-                rows.append(job)
-    except UnicodeDecodeError as exc:
-        raise decode_error(path, exc) from None
+            continue
+        fields = next(csv.reader([line]))
+        if not header_seen:
+            if fields != CSV_HEADER:
+                raise ValueError(
+                    f"line {lineno}: bad header {fields!r}, expected {CSV_HEADER}"
+                )
+            header_seen = True
+            continue
+        if len(fields) != len(CSV_HEADER):
+            raise ValueError(
+                f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(fields)}"
+            )
+        try:
+            job = Job(*(int(v) for v in fields))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if job.id in job_line:
+            raise ValueError(
+                f"line {lineno}: duplicate job id {job.id} (first on line "
+                f"{job_line[job.id]})"
+            )
+        job_line[job.id] = lineno
+        rows.append(job)
     if not header_seen:
         raise ValueError("missing header line")
     if capacity is None:

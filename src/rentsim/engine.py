@@ -39,22 +39,22 @@ the cost never pays for either.
 
 The event log is written as one block of rows, each formatted once, byte
 for byte what ``csv.writer`` writes for them.  It is read back in bounded
-blocks, each checked against one pattern and converted by column; from the
-first block holding any other line on, a ``csv.reader`` loop reads the
-rest, accepting what ``csv`` accepts and naming the first bad line.
+blocks, each checked against one pattern and converted by column; if any
+line fails that pattern or does not decode, the blocks read are dropped and
+a ``csv.reader`` loop reads the whole file again from line 1, accepting
+what ``csv`` accepts and naming the first bad line.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Hashable, Iterable, NamedTuple, Protocol
 
-from .core import EVENT_KINDS, Event, JobSequence, PlacementTrace, decode_error
+from .core import EVENT_KINDS, Event, JobSequence, PlacementTrace, text_lines
 
 __all__ = [
     "ArrivalView",
@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 EVENT_HEADER = ["t", "kind", "job_id", "server_id"]
-_HEADER_TEXT = ",".join(EVENT_HEADER)
+_HEADER_LINE = ",".join(EVENT_HEADER) + "\n"
 # characters per block of read_event_csv; a block then runs to its line's end.
 # A block's cells live until it is converted: a 1000-job log read as one
 # block raised a battery unit's peak RSS by 1.7 MB, while 8k-character
@@ -283,7 +283,7 @@ def write_event_csv(events, path) -> None:
         f"{'' if server_id is None else server_id}\n"
         for t, kind, job_id, server_id in events])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{_HEADER_TEXT}\n")
+        fh.write(_HEADER_LINE)
         fh.write(block)
 
 
@@ -297,32 +297,29 @@ def read_event_csv(path) -> tuple[Event, ...]:
 
     The rows are read in blocks of about ``EVENT_BLOCK_CHARS`` characters,
     each checked by one pattern and converted by column
-    (:func:`_block_events`), so memory stays bounded.  The first block
-    holding any other line, and every line after it, go through the
-    ``csv.reader`` loop instead (:func:`_csv_events`): it accepts what
+    (:func:`_block_events`), so a plain log is read in bounded memory.  If
+    the header line is not exactly ``t,kind,job_id,server_id`` and a
+    newline, or a block holds any other line, or a byte does not decode,
+    what was read is dropped and the ``csv.reader`` loop
+    (:func:`_csv_events`) reads the file from line 1: it accepts what
     ``csv`` accepts (quoted fields, CRLF line ends, blank lines) and names
     the first bad line.
     """
     events: list[Event] = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            block = fh.readline()
-            before = 0  # lines of the file before block
-            if block.rstrip("\n") == _HEADER_TEXT:
-                before = 1
+            if fh.readline() == _HEADER_LINE:
                 while block := fh.read(EVENT_BLOCK_CHARS):
                     block += fh.readline()  # to the end of the block's last line
                     parsed = _block_events(block if block[-1] == "\n" else block + "\n")
                     if parsed is None:
                         break
                     events += parsed
-                    before += len(parsed)
                 else:
                     return tuple(events)
-            events += _csv_events(chain(io.StringIO(block, newline=""), fh), before)
-    except UnicodeDecodeError as exc:
-        raise decode_error(path, exc) from None
-    return tuple(events)
+    except UnicodeDecodeError:
+        pass
+    return tuple(_csv_events(text_lines(path)))
 
 
 def _block_events(block: str) -> list[Event] | None:
@@ -349,23 +346,21 @@ def _block_events(block: str) -> list[Event] | None:
                     zip(map(get, ts), kinds, map(get, job_ids), map(get, server_ids))))
 
 
-def _csv_events(lines: Iterable[str], before: int) -> list[Event]:
-    """The ``csv.reader`` loop over ``lines``, the file's lines after its first ``before``.
+def _csv_events(lines: Iterable[str]) -> list[Event]:
+    """The ``csv.reader`` loop over a log's ``lines``, header first.
 
-    Checks the header first when ``before`` is 0; raises ValueError naming
-    the first bad line.
+    Raises ValueError naming the first bad line.
     """
     events: list[Event] = []
     new = tuple.__new__
     reader = csv.reader(lines)
-    if not before:
-        header = next(reader, None)
-        if header != EVENT_HEADER:
-            raise ValueError(f"bad event header {header!r}, expected {EVENT_HEADER}")
+    header = next(reader, None)
+    if header != EVENT_HEADER:
+        raise ValueError(f"bad event header {header!r}, expected {EVENT_HEADER}")
     for row in reader:
         if not row:
             continue
-        lineno = before + reader.line_num
+        lineno = reader.line_num
         if len(row) != len(EVENT_HEADER):
             raise ValueError(
                 f"line {lineno}: expected {len(EVENT_HEADER)} fields, got {len(row)}")

@@ -414,6 +414,31 @@ def test_cli_verify_names_the_event_line_that_is_not_utf8(tmp_path, capsys):
         "invalid continuation byte\n")
 
 
+def test_cli_run_names_a_bad_sequence_row_before_a_line_that_is_not_utf8(tmp_path, capsys):
+    seq_path = tmp_path / "ex.csv"
+    _write_three_job_instance(seq_path)
+    lines = seq_path.read_bytes().splitlines(keepends=True)
+    assert lines[2:] == [b"1,3,1,5\n", b"2,4,2,6\n", b"3,4,3,5\n"]
+    seq_path.write_bytes(b"".join(lines[:2] + [b"1,3,1\n", lines[3], b"3,4,3,5\xe9\n"]))
+    assert main(["run", "nf", str(seq_path)]) == 2
+    assert capsys.readouterr().err == "error: line 3: expected 4 fields, got 3\n"
+
+
+def test_cli_verify_names_a_bad_event_row_before_a_line_that_is_not_utf8(tmp_path, capsys):
+    seq_path, ev_path = tmp_path / "seq.csv", tmp_path / "ev.csv"
+    write_sequence_csv(gen_uniform(UniformParams(n=20, e=10, t=20, mu=2, seed=1)), seq_path)
+    assert main(["run", "ff", str(seq_path), "--events", str(ev_path)]) == 0
+    lines = ev_path.read_bytes().splitlines(keepends=True)
+    assert len(lines) > 54
+    t, kind, ids = lines[2].split(b",", 2)
+    lines[2] = b",".join([t, b"shut", ids])
+    lines[53] = lines[53].replace(b"\n", b"\xe9\n")
+    ev_path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["verify", str(seq_path), str(ev_path)]) == 2
+    assert capsys.readouterr().err == "error: line 3: unknown event kind 'shut'\n"
+
+
 def test_cli_verify_bad_event_header_exits_2(tmp_path, capsys):
     seq_path, ev_path = tmp_path / "ex.csv", tmp_path / "ev.csv"
     _write_three_job_instance(seq_path)

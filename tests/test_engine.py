@@ -534,8 +534,8 @@ def _read_or_message(read, path):
 
 
 # edits of a log's rows, header excluded; every edit but "plain" puts a line
-# the column check refuses into some block, so the csv-module loop reads on
-# from there
+# the column check refuses into some block, so the csv-module loop reads the
+# whole log again from line 1
 _LOG_EDITS = {
     "plain": lambda lines: lines,
     "quoted-field": lambda lines: lines[:9] + ['"' + lines[9].replace(",", '","') + '"']

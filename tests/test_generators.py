@@ -206,7 +206,7 @@ def test_adversary_mu_one_everything_leaves_at_delta():
     assert Fraction(result.total_cost, 1) / offline == 1
 
 
-@pytest.mark.parametrize("target", ["nf", "ff", "bf", "mtf", "harmonic:10"])
+@pytest.mark.parametrize("target", ["nf", "ff", "bf", "mtf", "harmonic:10", "mnf:11", "mff:17"])
 def test_adversary_forces_the_ratio_floor(target):
     eps, mu = Fraction(1, 10), 10
     params = AdversaryParams(eps=eps, mu=mu, delta=1, phases=5, target=target, e=10)
