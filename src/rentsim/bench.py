@@ -88,19 +88,17 @@ def _run_trial(args) -> list[tuple[str, int, Fraction]]:
     opt = brute_force_opt(seq) if oracle else None
     out = []
     for name in strategy_names:
-        strategy = build_strategy(name, e, mu=mu)
-        result = simulate(strategy, seq, record_events=False)
-        if Fraction(result.total_cost) < util:
+        # only the cost is kept, so a run's trace is freed before the next run
+        cost = simulate(build_strategy(name, e, mu=mu), seq, record_events=False).total_cost
+        if Fraction(cost) < util:
             raise BenchError(
-                f"cost {result.total_cost} below utilization {util} "
-                f"(strategy {name}, seed {seed})"
+                f"cost {cost} below utilization {util} (strategy {name}, seed {seed})"
             )
-        if opt is not None and result.total_cost < opt:
+        if opt is not None and cost < opt:
             raise BenchError(
-                f"cost {result.total_cost} below exact optimum {opt} "
-                f"(strategy {name}, seed {seed})"
+                f"cost {cost} below exact optimum {opt} (strategy {name}, seed {seed})"
             )
-        out.append((name, result.total_cost, util))
+        out.append((name, cost, util))
     return out
 
 

@@ -20,8 +20,10 @@ records) are made in C by one helper, ``_build_slotted``, which stores
 whole columns through the slot descriptors.  ``validate_trace`` does per
 server only the work that can find a violation: a one-job server is not
 sorted, and the running load sum runs only when the members' sizes add up
-past E.  Both readers take their lines from one source, ``text_lines``,
-which decodes each line only when it is reached, so a malformed row is
+past E.  A sequence's cached timeline is four columns of its jobs' own
+ints, not one tuple per event.  Both readers take their lines from one
+source, ``text_lines``, which decodes each line only when it is reached,
+so a malformed row, or one larger than a capacity read before it, is
 named before any later line that is not UTF-8.
 """
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter, gt, itemgetter, mul, sub
+from operator import attrgetter, gt, mul, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -158,20 +160,26 @@ class JobSequence:
         object.__setattr__(self, "capacity", capacity)
 
     @cached_property
-    def timeline(self) -> tuple[tuple[int, int, int, bool], ...]:
-        """``(t, job_id, size, arriving)`` for every departure and arrival, in time order.
+    def timeline(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
+                                tuple[bool, ...]]:
+        """Columns ``(t, job_id, size, arriving)`` of every departure and arrival, in time order.
 
         Within a step every departure comes before every arrival, each in
-        sequence order: one stable sort on ``(t, arriving)``.  Computed once
-        per sequence, so every run over it shares one schedule.
+        sequence order: the departures are listed first and one stable index
+        sort on ``t`` alone keeps them there.  Each column has 2n entries,
+        the jobs' own ints and the two shared bools, so no per-row tuple is
+        kept.  Computed once per sequence, so every run over it shares one
+        schedule.
         """
         jobs = self.jobs
-        ids = list(map(attrgetter("id"), jobs))
-        sizes = list(map(attrgetter("size"), jobs))
-        rows = list(zip(map(attrgetter("departure"), jobs), ids, sizes, repeat(False)))
-        rows += zip(map(attrgetter("arrival"), jobs), ids, sizes, repeat(True))
-        rows.sort(key=itemgetter(0, 3))
-        return tuple(rows)
+        n = len(jobs)
+        ids = list(map(attrgetter("id"), jobs)) * 2
+        sizes = list(map(attrgetter("size"), jobs)) * 2
+        times = list(map(attrgetter("departure"), jobs))
+        times += map(attrgetter("arrival"), jobs)
+        order = sorted(range(2 * n), key=times.__getitem__)
+        return (tuple(map(times.__getitem__, order)), tuple(map(ids.__getitem__, order)),
+                tuple(map(sizes.__getitem__, order)), tuple(map(n.__le__, order)))
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -531,12 +539,18 @@ def read_sequence_csv(path) -> JobSequence:
     """Read the interchange CSV written by :func:`write_sequence_csv`.
 
     A malformed line, or one that is not UTF-8, raises ValueError naming its
-    line number.
+    line number.  A row larger than the capacity is named when it is read if
+    the capacity line came before it, else once every line is read.
     """
     capacity: int | None = None
     rows: list[Job] = []
     job_line: dict[int, int] = {}  # job id -> line number
     header_seen = False
+
+    def oversized(job: Job) -> ValueError:
+        return ValueError(f"line {job_line[job.id]}: job {job.id}: size {job.size} "
+                          f"exceeds capacity {capacity}")
+
     for lineno, line in enumerate(text_lines(path), 1):
         line = line.strip()
         if not line:
@@ -578,15 +592,14 @@ def read_sequence_csv(path) -> JobSequence:
                 f"{job_line[job.id]})"
             )
         job_line[job.id] = lineno
+        if capacity is not None and job.size > capacity:
+            raise oversized(job)
         rows.append(job)
     if not header_seen:
         raise ValueError("missing header line")
     if capacity is None:
         raise ValueError("missing '# capacity=E' line")
-    for job in rows:  # the capacity line may follow the rows
+    for job in rows:  # for rows read before the (last) capacity line
         if job.size > capacity:
-            raise ValueError(
-                f"line {job_line[job.id]}: job {job.id}: size {job.size} "
-                f"exceeds capacity {capacity}"
-            )
+            raise oversized(job)
     return JobSequence(rows, CapacityConfig(capacity))

@@ -14,12 +14,13 @@ dict's ``values()``; each arrival sets the view's job id, size and time, so
 a view is valid only while ``place`` runs.
 
 A run is one loop over the sequence's cached
-:attr:`~rentsim.core.JobSequence.timeline`, one flat ``(t, job_id, size,
-arriving)`` row per departure and arrival with every departure of a step
-before its arrivals, shared by every run over it.  A departure that empties
-a server releases it at once, so no step scans every live server; when
-events are recorded, a step's release rows follow its depart rows, in id
-order, and precede its arrive rows.
+:attr:`~rentsim.core.JobSequence.timeline`, four columns ``(t, job_id,
+size, arriving)`` with one entry per departure and arrival and every
+departure of a step before its arrivals, shared by every run over it; the
+loop zips the columns, and ``zip`` reuses its row tuple, so a row costs no
+allocation.  A departure that empties a server releases it at once, so no
+step scans every live server; when events are recorded, a step's release
+rows follow its depart rows, in id order, and precede its arrive rows.
 
 Per-server state is two plain lists indexed by server id (level, tag), not
 one object per server, and a dict of the closed servers' close steps.  Sizes
@@ -166,8 +167,9 @@ def simulate(
 ) -> RunResult:
     """Run one strategy over one sequence and return cost, trace and per-server data.
 
-    Event times are processed in increasing order; within a time step all
-    departures (and the releases they trigger) happen before any arrival.
+    Event times are processed in increasing order, in one pass over the
+    zipped columns of ``seq.timeline``; within a time step all departures
+    (and the releases they trigger) happen before any arrival.
     A server whose last resident departs is released at that exact step and
     its id is never reused.  The run is deterministic: identical inputs
     produce identical traces.
@@ -200,7 +202,7 @@ def simulate(
     released: list[int] = []
     released_t = None
 
-    for t, jid, size, arriving in seq.timeline:
+    for t, jid, size, arriving in zip(*seq.timeline):
         if released and (arriving or t != released_t):
             events += _release_rows(released_t, released)
             released.clear()

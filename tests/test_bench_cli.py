@@ -22,6 +22,7 @@ from rentsim import (
 )
 from rentsim.bounds import ORACLE_DEFAULT_LIMIT
 from rentsim.bench import (
+    AGGREGATE_HEADER,
     BenchError,
     ExperimentSpec,
     rows_to_csv,
@@ -191,6 +192,19 @@ def test_cli_run_with_oracle_includes_exact_optimum(tmp_path, capsys):
     assert "cost_geq_opt" in names
 
 
+def test_cli_run_text_output_prints_the_exact_optimum_with_oracle(tmp_path, capsys):
+    seq_path = tmp_path / "tiny.csv"
+    _write_three_job_instance(seq_path)
+    assert main(["run", "bf", str(seq_path)]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(["run", "bf", str(seq_path), "--oracle"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("lb_util: 18/5 (3.6)") + 1
+    assert lines[at] == "opt_exact: 7"
+    assert lines[:at] + lines[at + 1:-1] == plain
+    assert lines[-1] == "check cost_geq_opt: formula=7 cost=7 ok"
+
+
 def test_cli_run_events_then_verify_round_trip(tmp_path, capsys):
     seq_path, ev_path = tmp_path / "ex.csv", tmp_path / "ev.csv"
     _write_three_job_instance(seq_path)
@@ -233,6 +247,21 @@ def test_cli_verify_rejects_a_placement_into_a_closed_server(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "violation: placement-after-close t=4 job=3 server=1 closed at 2\n"
     )
+
+
+def test_cli_verify_json_lists_the_violations(tmp_path, capsys):
+    seq_path, ev_path = _write_next_fit_log(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(seq_path), str(ev_path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+    text = ev_path.read_text(encoding="utf-8")
+    text = text.replace("4,place,3,2\n", "4,place,3,1\n").replace("6,depart,3,2\n", "")
+    ev_path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(seq_path), str(ev_path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        "placement-after-close t=4 job=3 server=1 closed at 2",
+        "event-missing job=3 depart",
+    ]
 
 
 def test_cli_verify_rejects_a_close_after_the_release(tmp_path, capsys):
@@ -424,6 +453,22 @@ def test_cli_run_names_a_bad_sequence_row_before_a_line_that_is_not_utf8(tmp_pat
     assert capsys.readouterr().err == "error: line 3: expected 4 fields, got 3\n"
 
 
+def test_cli_run_names_an_oversized_row_before_a_line_that_is_not_utf8(tmp_path, capsys):
+    # the capacity line comes first, so the row's size is checked when it is read
+    seq_path = tmp_path / "ex.csv"
+    seq_path.write_bytes(b"# capacity=10\nid,size,arrival,departure\n"
+                         b"1,30,1,5\n2,4,2,6\n3,4,3,5\xe9\n")
+    assert main(["run", "nf", str(seq_path)]) == 2
+    assert capsys.readouterr().err == "error: line 3: job 1: size 30 exceeds capacity 10\n"
+
+
+def test_cli_run_sequence_without_a_capacity_line_exits_2(tmp_path, capsys):
+    seq_path = tmp_path / "ex.csv"
+    seq_path.write_text("id,size,arrival,departure\n1,3,1,5\n", encoding="utf-8")
+    assert main(["run", "nf", str(seq_path)]) == 2
+    assert capsys.readouterr().err == "error: missing '# capacity=E' line\n"
+
+
 def test_cli_verify_names_a_bad_event_row_before_a_line_that_is_not_utf8(tmp_path, capsys):
     seq_path, ev_path = tmp_path / "seq.csv", tmp_path / "ev.csv"
     write_sequence_csv(gen_uniform(UniformParams(n=20, e=10, t=20, mu=2, seed=1)), seq_path)
@@ -551,3 +596,21 @@ def test_cli_bench_writes_csv_and_summary(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "strategy,n,e,t,mu,trials,mean_ratio,std_ratio,mean_cost,mean_util"
     assert len(lines) == 3
+
+
+def test_cli_bench_json_rows_carry_the_csv_columns_in_grid_order(capsys):
+    argv = ["bench", "--strategies", "nf,mtf", "--n", "60", "--e", "10", "--t", "40",
+            "--mu", "2", "--mu", "4", "--trials", "2", "--seed-base", "1", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    rows = run_experiment(ExperimentSpec(
+        strategies=("nf", "mtf"), ns=(60,), es=(10,), ts=(40,), mus=(2, 4),
+        trials=2, seed_base=1))
+    assert [list(entry) for entry in payload] == [AGGREGATE_HEADER] * 4
+    assert [(entry["strategy"], entry["mu"]) for entry in payload] == [
+        ("nf", 2), ("mtf", 2), ("nf", 4), ("mtf", 4)]
+    assert payload == [
+        {"strategy": r.strategy, "n": 60, "e": 10, "t": 40, "mu": r.mu, "trials": 2,
+         "mean_ratio": float(r.mean_ratio), "std_ratio": r.std_ratio,
+         "mean_cost": float(r.mean_cost), "mean_util": float(r.mean_util)}
+        for r in rows]

@@ -320,7 +320,27 @@ def test_timeline_is_each_steps_departures_then_arrivals(seq):
     for t in sorted({job.arrival for job in seq} | {job.departure for job in seq}):
         flat += [(t, job.id, job.size, False) for job in seq if job.departure == t]
         flat += [(t, job.id, job.size, True) for job in seq if job.arrival == t]
-    assert seq.timeline == tuple(flat)
+    assert tuple(zip(*seq.timeline)) == tuple(flat)
+
+
+def test_timeline_is_four_columns_of_the_jobs_own_objects():
+    # ints above 256 are not cached by the interpreter, so ``is`` tells a
+    # job's own int from an equal copy
+    jobs = [Job(1001, 700, 5000, 9000), Job(1002, 300, 5000, 7000),
+            Job(1003, 900, 7000, 8000), Job(1004, 300, 9000, 9500)]
+    seq = JobSequence(jobs, CapacityConfig(1000))
+    timeline = seq.timeline
+    assert type(timeline) is tuple and len(timeline) == 4
+    assert all(type(column) is tuple and len(column) == 2 * len(jobs) for column in timeline)
+    by_id = {job.id: job for job in jobs}
+    for t, jid, size, arriving in zip(*timeline):
+        job = by_id[jid]
+        assert jid is job.id and size is job.size
+        assert t is (job.arrival if arriving else job.departure)
+        assert arriving is True or arriving is False
+    assert timeline[0] == (5000, 5000, 7000, 7000, 8000, 9000, 9000, 9500)
+    assert timeline[1] == (1001, 1002, 1002, 1003, 1003, 1001, 1004, 1004)
+    assert timeline[3] == (True, True, False, True, False, False, True, False)
 
 
 _SMALL_DESK = UniformParams(n=300, e=100, t=100, mu=6, seed=7)
