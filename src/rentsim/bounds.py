@@ -104,7 +104,11 @@ class BoundReport:
 
 
 def lower_bound(seq: JobSequence) -> tuple[int, Fraction, Fraction]:
-    """Span and utilization lower bounds; any algorithm's cost is >= both."""
+    """Span and utilization lower bounds; any algorithm's cost is >= both.
+
+    Public with no caller in the package: the benchmark (``perfbench``)
+    rejects any bench cost below its third value, ``max(span, util)``.
+    """
     return _lower_bounds(compute_stats(seq))
 
 

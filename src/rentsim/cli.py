@@ -120,7 +120,7 @@ def cmd_run(args) -> int:
             "total_cost": result.total_cost,
             "servers_opened": result.servers_opened,
             "critical_count": result.critical_count,
-            "per_server": [list(row) for row in result.per_server],
+            "per_server": [[s.id, s.stretch, s.closed_period] for s in result.trace.servers],
             "violations": [str(v) for v in violations],
             "bounds": report.to_json(),
         }

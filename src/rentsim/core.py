@@ -115,10 +115,6 @@ class Job:
             return list(map(cls, ids, sizes, arrivals, departures))
         return _build_slotted(cls, len(ids), ids, sizes, arrivals, departures)
 
-    @property
-    def length(self) -> int:
-        return self.departure - self.arrival
-
 
 @dataclass(frozen=True, slots=True)
 class CapacityConfig:
@@ -539,10 +535,13 @@ def read_sequence_csv(path) -> JobSequence:
     """Read the interchange CSV written by :func:`write_sequence_csv`.
 
     A malformed line, or one that is not UTF-8, raises ValueError naming its
-    line number.  A row larger than the capacity is named when it is read if
-    the capacity line came before it, else once every line is read.
+    line number.  A file has one capacity line, before or after the rows; a
+    second one is named with the line of the first.  A row larger than the
+    capacity is named when it is read if the capacity line came before it,
+    else once every line is read.
     """
     capacity: int | None = None
+    capacity_line = 0  # line number of the capacity line, 0 until it is read
     rows: list[Job] = []
     job_line: dict[int, int] = {}  # job id -> line number
     header_seen = False
@@ -558,6 +557,10 @@ def read_sequence_csv(path) -> JobSequence:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("capacity="):
+                if capacity_line:
+                    raise ValueError(f"line {lineno}: second capacity line "
+                                     f"(first on line {capacity_line})")
+                capacity_line = lineno
                 value = body.split("=", 1)[1]
                 try:
                     capacity = int(value)
@@ -599,7 +602,7 @@ def read_sequence_csv(path) -> JobSequence:
         raise ValueError("missing header line")
     if capacity is None:
         raise ValueError("missing '# capacity=E' line")
-    for job in rows:  # for rows read before the (last) capacity line
+    for job in rows:  # for rows read before the capacity line
         if job.size > capacity:
             raise oversized(job)
     return JobSequence(rows, CapacityConfig(capacity))

@@ -10,8 +10,9 @@ as level changes of (or the disappearance of) servers in later views.
 One live view per run: the engine holds one ``(id, level, tag)`` tuple per
 placeable server in a dict, replaced only when that server gains or loses a
 job or is closed or released, and its one :class:`ArrivalView` shows that
-dict's ``values()``; each arrival sets the view's job id, size and time, so
-a view is valid only while ``place`` runs.
+dict's ``values()``; each arrival sets the view's size, so a view is valid
+only while ``place`` runs.  A placeable server's tag lives only in its view
+entry.
 
 A run is one loop over the sequence's cached
 :attr:`~rentsim.core.JobSequence.timeline`, four columns ``(t, job_id,
@@ -22,8 +23,8 @@ allocation.  A departure that empties a server releases it at once, so no
 step scans every live server; when events are recorded, a step's release
 rows follow its depart rows, in id order, and precede its arrive rows.
 
-Per-server state is two plain lists indexed by server id (level, tag), not
-one object per server, and a dict of the closed servers' close steps.  Sizes
+Per-server state is one plain list of levels indexed by server id, not one
+object per server, and a dict of the closed servers' close steps.  Sizes
 are at least 1, so a server is empty exactly when its level is 0; every id a
 strategy names is checked against the placeable servers, never by list
 bounds.  The cost is a running sum: each opening subtracts its step and each
@@ -34,9 +35,8 @@ than slot reads, so ``validate_trace`` unpacks each log row and
 :func:`trace_from_events` reads fields beyond a row's kind only on the rows
 it keeps.  The trace is the run's assignments (in placement order), its
 closes and its events; the trace derives its ``ServerRecord``s on first read
-from the assignments and the jobs' times, and ``RunResult.per_server`` is
-derived from those records on its first read, so a caller that reads only
-the cost never pays for either.
+from the assignments and the jobs' times, so a caller that reads only the
+cost never pays for them.
 
 The event log is written as one block of rows, each formatted once, byte
 for byte what ``csv.writer`` writes for them.  It is read back in bounded
@@ -51,7 +51,6 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from typing import Hashable, Iterable, NamedTuple, Protocol
 
@@ -84,7 +83,7 @@ _PLAIN_ROWS = re.compile("(?:[0-9]+,(?:%s)\n)*" % "|".join(
 
 
 class ArrivalView:
-    """The arriving job and the current placeable servers, in opening order.
+    """The arriving job's size and the current placeable servers, in opening order.
 
     ``servers`` is a read-only, live iterable with a length, of plain
     ``(id, level, tag)`` tuples.  ``tag`` is an opaque value owned by the
@@ -93,16 +92,14 @@ class ArrivalView:
     or recency stamps.  :func:`simulate` updates one view per run in place,
     so a view is valid only while ``place`` runs.
 
-    Contains no departure or length information by construction.  Closed
+    Carries no job id, time, departure or length by construction.  Closed
     servers (Next Fit family) are excluded: they are never valid targets.
     """
 
-    __slots__ = ("job_id", "size", "time", "servers")
+    __slots__ = ("size", "servers")
 
-    def __init__(self, job_id: int, size: int, time: int, servers: Iterable):
-        self.job_id = job_id
+    def __init__(self, size: int, servers: Iterable):
         self.size = size
-        self.time = time
         self.servers = servers
 
 
@@ -151,11 +148,6 @@ class RunResult:
     servers_opened: int
     critical_count: int
 
-    @cached_property
-    def per_server(self) -> tuple[tuple[int, int, int], ...]:
-        """(server id, stretch, closed period) for every server, in id order."""
-        return tuple((srv.id, srv.stretch, srv.closed_period) for srv in self.trace.servers)
-
 
 def _release_rows(t: int, sids: list[int]) -> list[Event]:
     """One step's release rows, in id (= opening) order."""
@@ -165,7 +157,7 @@ def _release_rows(t: int, sids: list[int]) -> list[Event]:
 def simulate(
     strategy: PlacementStrategy, seq: JobSequence, *, record_events: bool = True
 ) -> RunResult:
-    """Run one strategy over one sequence and return cost, trace and per-server data.
+    """Run one strategy over one sequence and return its cost and trace.
 
     Event times are processed in increasing order, in one pass over the
     zipped columns of ``seq.timeline``; within a time step all departures
@@ -187,14 +179,14 @@ def simulate(
     # order, so index 0 is padding.  Sizes are >= 1: a server is empty
     # exactly when its level is 0.
     level: list = [0]
-    tags: list = [None]
     closed: dict[int, int] = {}
     cost = 0
-    # placeable servers only; insertion order == opening order, and replacing
-    # an entry keeps its place.  Every id check goes through it: plain list
-    # indexing would accept 0, a negative id or a closed or released server.
+    # placeable servers only, each entry (id, level, tag) the one copy of its
+    # tag; insertion order == opening order, and replacing an entry keeps its
+    # place.  Every id check goes through it: plain list indexing would accept
+    # 0, a negative id or a closed or released server.
     views: dict[int, tuple] = {}
-    view = ArrivalView(None, None, None, views.values())
+    view = ArrivalView(None, views.values())
     assignments: dict[int, int] = {}
     events: list[Event] = []
     # servers released at step released_t, recorded only with the events: their
@@ -217,13 +209,11 @@ def simulate(
                 if record_events:
                     released.append(sid)
                     released_t = t
-            elif sid not in closed:
-                views[sid] = (sid, lvl, tags[sid])
+            elif entry := views.get(sid):  # not closed
+                views[sid] = (sid, lvl, entry[2])
             continue
 
-        view.job_id = jid
         view.size = size
-        view.time = t
         if record_events:
             events.append(new(Event, (t, "arrive", jid, None)))
         sid, close, tag = decision = place(view)
@@ -241,10 +231,10 @@ def simulate(
             sid = len(level)
             cost -= t
             level.append(size)
-            tags.append(tag)
             views[sid] = (sid, size, tag)
         else:
-            if sid not in views:
+            entry = views.get(sid)
+            if entry is None:
                 raise InfeasiblePlacementError(
                     f"target server {sid} is not open for placement",
                     time=t, job_id=jid, decision=decision)
@@ -254,11 +244,7 @@ def simulate(
                     f"server {sid} at level {level[sid]} cannot take size {size}",
                     time=t, job_id=jid, decision=decision)
             level[sid] = lvl
-            if tag is None:
-                tag = tags[sid]
-            else:
-                tags[sid] = tag
-            views[sid] = (sid, lvl, tag)
+            views[sid] = (sid, lvl, entry[2] if tag is None else tag)
         assignments[jid] = sid
         if record_events:
             events.append(new(Event, (t, "place", jid, sid)))

@@ -102,13 +102,6 @@ class SplitMix64:
         self._state = state
         return values
 
-    def next_u64(self) -> int:
-        return self.randint(0, _MASK64)
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], rejection sampled (no modulo bias)."""
-        return self.draw(self.ranges((lo, hi)))[0]
-
 
 @dataclass(frozen=True, slots=True)
 class UniformParams:
@@ -195,7 +188,11 @@ class AdversaryParams:
 
 
 def adversary_ratio_bound(eps: Fraction, mu: int) -> Fraction:
-    """The competitive-ratio floor the construction forces: mu/(1+eps(mu-1))."""
+    """The competitive-ratio floor the construction forces: mu/(1+eps(mu-1)).
+
+    Public with no caller in the package: it is the floor that the adversary
+    tests (acceptance criterion 2) hold each target's measured ratio to.
+    """
     eps = Fraction(eps)
     return Fraction(mu) / (1 + eps * (mu - 1))
 

@@ -1,13 +1,14 @@
 """The seven placement strategies behind one interface.
 
-Every strategy is a pure function of the :class:`ArrivalView` it receives:
+Every strategy is a pure function of the :class:`ArrivalView` it receives,
+which holds only the arriving job's size and the placeable servers:
 whatever ordering or stream bookkeeping it needs lives in the per-server
-tags that the engine stores and echoes back.  So one strategy object can
-serve any number of runs, and it is structurally impossible for it to
-remember departure times.  A view is valid only while ``place`` runs (the
-engine reuses one view per run); its ``servers`` is a read-only, live
-iterable of ``(id, level, tag)`` tuples in opening order, unpacked in the
-scan.
+tags that the engine stores in each server's view entry and echoes back.
+So one strategy object can serve any number of runs, and it is
+structurally impossible for it to remember departure times.  A view is
+valid only while ``place`` runs (the engine reuses one view per run); its
+``servers`` is a read-only, live iterable of ``(id, level, tag)`` tuples
+in opening order, unpacked in the scan.
 
 Size thresholds (Modified Next Fit, Modified First Fit, Harmonic classes)
 are exact: with integer sizes and a rational K each reduces to an integer

@@ -28,6 +28,8 @@ import hypothesis.strategies as st
 from rentsim import (
     ArrivalView,
     CapacityConfig,
+    Decision,
+    FirstFit,
     InfeasiblePlacementError,
     Job,
     JobSequence,
@@ -125,9 +127,7 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
         for job in arrivals_at.get(t, ()):
             emit(t, "arrive", job.id, None)
             view = ArrivalView(
-                job_id=job.id,
                 size=job.size,
-                time=t,
                 servers=tuple(
                     (s.id, s.level, s.tag) for s in live.values() if s.closed_at is None
                 ),
@@ -189,8 +189,61 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
     return result, records
 
 
+def with_departures_after(seq: JobSequence, tau: int, departure) -> JobSequence:
+    """``seq`` with each departure after step ``tau`` replaced by
+    ``departure(job)``, which must also lie after ``tau``."""
+    jobs = []
+    for job in seq.jobs:
+        moved = job.departure > tau
+        jobs.append(Job(job.id, job.size, job.arrival, departure(job) if moved else job.departure))
+        assert not moved or jobs[-1].departure > tau
+    return JobSequence(jobs, seq.capacity)
+
+
+def decided_by(result, tau: int) -> tuple[dict[int, int], dict[int, int]]:
+    """What a run had decided by step ``tau``: the server of each job arriving
+    at or before ``tau``, and each close at or before ``tau``."""
+    arrival = {job.id: job.arrival for job in result.trace.sequence.jobs}
+    return ({jid: sid for jid, sid in result.trace.assignments.items() if arrival[jid] <= tau},
+            {sid: t for sid, t in result.trace.closed_at.items() if t <= tau})
+
+
+class PeekingFirstFit:
+    """First Fit that gives a job longer than ``limit`` a server of its own.
+
+    A strategy is never shown a departure, so this one cheats: it holds the
+    sequence and counts its calls to know which job arrives.  It is the
+    stand-in that the online-restriction property must reject.
+    """
+
+    name = "peeking-ff"
+
+    def __init__(self, seq: JobSequence, limit: int):
+        self.first_fit = FirstFit(seq.capacity.e)
+        self.limit = limit
+        jobs = {job.id: job for job in seq.jobs}
+        _, ids, _, arriving = seq.timeline
+        self.arrivals = iter([jobs[jid] for jid, arrives in zip(ids, arriving) if arrives])
+
+    def place(self, view):
+        job = next(self.arrivals)
+        if job.departure - job.arrival > self.limit:
+            return Decision()
+        return self.first_fit.place(view)
+
+
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
+
+
+def randint(rng, lo: int, hi: int) -> int:
+    """One uniform integer in [lo, hi] from a ``SplitMix64``: one range drawn."""
+    return rng.draw(rng.ranges((lo, hi)))[0]
+
+
+def next_u64(rng) -> int:
+    """The next raw 64-bit output of a ``SplitMix64`` (its full range, never rejected)."""
+    return randint(rng, 0, _MASK64)
 
 
 def reference_draw(state: int, bounds) -> tuple[list[int], int]:
@@ -215,11 +268,11 @@ def reference_draw(state: int, bounds) -> tuple[list[int], int]:
 def reference_compute_stats(seq: JobSequence) -> SequenceStats:
     """Differential oracle for ``compute_stats``: one generator pass per field."""
     e = seq.capacity.e
-    lengths = [job.length for job in seq.jobs]
+    lengths = [job.departure - job.arrival for job in seq.jobs]
     delta = min(lengths)
     return SequenceStats(
         span=union_measure((job.arrival, job.departure) for job in seq.jobs),
-        util=Fraction(sum(job.size * job.length for job in seq.jobs), e),
+        util=Fraction(sum(job.size * length for job, length in zip(seq.jobs, lengths)), e),
         total_size=Fraction(sum(job.size for job in seq.jobs), e),
         total_length=sum(lengths),
         delta=delta,
@@ -237,7 +290,7 @@ def reference_check_mtf_bound(result, stats) -> BoundEntry:
     total_formula = Fraction(0)
     for start, end in merge_intervals((j.arrival, j.departure) for j in seq.jobs):
         seg_jobs = [j for j in seq.jobs if start <= j.arrival < end]
-        seg_util = Fraction(sum(j.size * j.length for j in seg_jobs), e)
+        seg_util = Fraction(sum(j.size * (j.departure - j.arrival) for j in seg_jobs), e)
         seg_span = end - start
         seg_cost = sum(
             srv.stretch for srv in result.trace.servers if start <= srv.opened_at < end

@@ -39,7 +39,7 @@ from rentsim.bench import ExperimentSpec, run_experiment
 from rentsim.cli import main as cli_main
 from rentsim.strategies import ModifiedNextFit, MoveToFront, NextFit
 
-from helpers import BATTERY_SEED, all_strategy_specs, record_verdict as _verdict
+from helpers import BATTERY_SEED, all_strategy_specs, next_u64, randint, record_verdict as _verdict
 
 BATTERY_MUS = (2, 10, 100)
 BATTERY_COUNT = 1000
@@ -250,9 +250,9 @@ def test_criterion_07_oracle_dominance():
     rng = SplitMix64(20_260_810)
     violations = []
     for case in range(500):
-        n = rng.randint(1, 6)
+        n = randint(rng, 1, 6)
         seq = gen_uniform(
-            UniformParams(n=n, e=12, t=12, mu=4, seed=rng.next_u64())
+            UniformParams(n=n, e=12, t=12, mu=4, seed=next_u64(rng))
         )
         opt = brute_force_opt(seq)
         _, _, lb = lower_bound(seq)

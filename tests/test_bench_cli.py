@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -462,6 +463,13 @@ def test_cli_run_names_an_oversized_row_before_a_line_that_is_not_utf8(tmp_path,
     assert capsys.readouterr().err == "error: line 3: job 1: size 30 exceeds capacity 10\n"
 
 
+def test_cli_run_sequence_without_a_header_line_exits_2(tmp_path, capsys):
+    seq_path = tmp_path / "ex.csv"
+    seq_path.write_text("# capacity=10\n", encoding="utf-8")
+    assert main(["run", "nf", str(seq_path)]) == 2
+    assert capsys.readouterr().err == "error: missing header line\n"
+
+
 def test_cli_run_sequence_without_a_capacity_line_exits_2(tmp_path, capsys):
     seq_path = tmp_path / "ex.csv"
     seq_path.write_text("id,size,arrival,departure\n1,3,1,5\n", encoding="utf-8")
@@ -497,12 +505,36 @@ def test_cli_verify_bad_event_header_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("selection, message", [
     ("mnf:1", "mnf requires K >= 2, got 1"),
     ("harmonic:2.5", "harmonic requires integer K >= 1, got 5/2"),
+    ("harmonic", "harmonic requires a parameter K"),
+    ("mnf:x", "bad parameter in 'mnf:x': Invalid literal for Fraction: 'x'"),
 ])
 def test_cli_bench_bad_selection_exits_2(capsys, selection, message):
     argv = ["bench", "--strategies", f"nf,{selection}", "--n", "10", "--e", "10",
             "--t", "10", "--mu", "2", "--trials", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_bench_cost_below_utilization_exits_1(capsys, monkeypatch):
+    # no run can cost less than the utilization bound (32/5 on this seed)
+    monkeypatch.setattr(rentsim.bench, "simulate",
+                        lambda strategy, seq, **kwargs: SimpleNamespace(total_cost=6))
+    argv = ["bench", "--strategies", "nf", "--n", "10", "--e", "10", "--t", "20",
+            "--mu", "2", "--trials", "1", "--seed-base", "1", "--workers", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", (
+        "error: cell n=10 e=10 t=20 mu=2: cost 6 below utilization 32/5 "
+        "(strategy nf, seed 1)\n"))
+
+
+def test_cli_bench_cost_below_the_exact_optimum_exits_1(capsys, monkeypatch):
+    # nf costs 5 on this seed; an optimum of 6 would mean it beat the optimum
+    monkeypatch.setattr(rentsim.bench, "brute_force_opt", lambda seq: 6)
+    argv = ["bench", "--strategies", "nf", "--n", "5", "--e", "10", "--t", "8",
+            "--mu", "3", "--trials", "1", "--seed-base", "2", "--workers", "1", "--oracle"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", (
+        "error: cell n=5 e=10 t=8 mu=3: cost 5 below exact optimum 6 (strategy nf, seed 2)\n"))
 
 
 def test_cli_bench_bad_cell_exits_2_before_any_trial(capsys, monkeypatch):

@@ -130,6 +130,20 @@ def test_nf_bound_small_size_branch_needs_precondition(three_job_instance):
     assert all("small" not in name for name in with_k3)
 
 
+def test_nf_bound_small_size_branch_exact_values():
+    # every size is at most 12/3, so k=3 applies: total size 11/12, cap
+    # (11/12) / (1 - 1/3) = 11/8, span 6, longest job 4; one server holds all
+    seq = JobSequence([Job(1, 4, 0, 3), Job(2, 3, 1, 4), Job(3, 4, 2, 6)], CapacityConfig(12))
+    result = simulate(NextFit(12), seq)
+    assert (result.total_cost, result.critical_count) == (6, 0)
+    entries = {e.name: e for e in check_nf_bound(result, compute_stats(seq), k=3)}
+    worst = entries["nf_worst_case_small_k=3"]
+    assert (worst.formula_value, worst.cost) == (Fraction(23, 2), 6)  # 6 + (11/8)*4
+    cap = entries["nf_critical_cap_small_k=3"]
+    assert (cap.formula_value, cap.cost) == (Fraction(11, 8), 0)
+    assert worst.satisfied and cap.satisfied
+
+
 def test_nf_bound_rejects_foreign_results(three_job_instance):
     result = simulate(MoveToFront(10), three_job_instance)
     stats = compute_stats(three_job_instance)

@@ -21,7 +21,7 @@ from rentsim import (
     validate_trace,
     write_sequence_csv,
 )
-from rentsim.core import Event, merge_intervals, union_measure
+from rentsim.core import EVENT_KINDS, Event, merge_intervals, union_measure
 from rentsim.engine import trace_from_events
 from rentsim.strategies import NextFit
 
@@ -314,8 +314,13 @@ def test_validate_checks_the_log_against_the_sequence(three_job_instance):
 
 def _tampered_logs(events):
     """Every log that drops, duplicates, shifts by one step, or bumps the job or
-    server id of one row, with the tamper named; close rows are left alone,
-    since a log without one of them describes another valid history."""
+    server id of one row, or swaps two adjacent rows of different (step,
+    phase), with the tamper named; close rows are not dropped, duplicated,
+    shifted or bumped, since a log without one of them describes another
+    valid history."""
+    for i, (ev, nxt) in enumerate(zip(events, events[1:])):
+        if (ev.t, EVENT_KINDS[ev.kind][0]) != (nxt.t, EVENT_KINDS[nxt.kind][0]):
+            yield "swap", events[:i] + (nxt, ev) + events[i + 2:]
     for i, ev in enumerate(events):
         if ev.kind == "close":
             continue
@@ -373,6 +378,11 @@ def test_sequence_csv_requires_capacity_and_header(tmp_path):
         ("id,size,arrival,departure\n1,6,0,1\n# capacity=5\n",
          "line 2: job 1: size 6 exceeds capacity 5"),
         ("# capacity=0\nid,size,arrival,departure\n", "line 1: capacity must be >= 1, got 0"),
+        # a second capacity line, lowering or raising the first one's capacity
+        ("# capacity=10\nid,size,arrival,departure\n1,3,1,5\n# capacity=2\n2,1,2,6\n",
+         "line 4: second capacity line (first on line 1)"),
+        ("# capacity=2\nid,size,arrival,departure\n1,2,1,5\n# capacity=10\n2,1,2,6\n",
+         "line 4: second capacity line (first on line 1)"),
     ]:
         bad = tmp_path / "c.csv"
         bad.write_text(body, encoding="utf-8")

@@ -32,20 +32,21 @@ from rentsim.strategies import BestFit, FirstFit, MoveToFront, NextFit
 
 from helpers import (
     BATTERY_SEED,
+    PeekingFirstFit,
     all_strategy_specs,
+    decided_by,
     job_sequences,
     reference_read_event_csv,
     reference_simulate,
     reference_write_event_csv,
+    with_departures_after,
 )
 
 
 class Shown(NamedTuple):
     """What a view showed while ``place`` ran; the engine reuses the view itself."""
 
-    job_id: int
     size: int
-    time: int
     servers: tuple
 
 
@@ -60,7 +61,7 @@ class SpyStrategy:
         self.decisions: list[Decision] = []
 
     def place(self, view):
-        self.views.append(Shown(view.job_id, view.size, view.time, tuple(view.servers)))
+        self.views.append(Shown(view.size, tuple(view.servers)))
         self.objects.append(view)
         decision = self.inner.place(view)
         self.decisions.append(decision)
@@ -77,7 +78,8 @@ def test_next_fit_trace_on_three_job_instance(three_job_instance):
     assert first.jobs == (1, 2)
     assert (second.opened_at, second.closed_at, second.released_at) == (3, None, 5)
     assert second.jobs == (3,)
-    assert result.per_server == ((1, 5, 3), (2, 2, 0))
+    assert [(s.id, s.stretch, s.closed_period) for s in result.trace.servers] == [
+        (1, 5, 3), (2, 2, 0)]
     kinds = [(e.t, e.kind) for e in result.trace.events]
     assert (3, "close") in kinds
     assert validate_trace(result.trace) == []
@@ -150,7 +152,7 @@ def test_interleaved_runs_of_one_strategy_match_independent_runs(seq_a, seq_b):
 def test_views_carry_no_departure_information(three_job_instance):
     spy = SpyStrategy(FirstFit(10))
     simulate(spy, three_job_instance)
-    assert ArrivalView.__slots__ == ("job_id", "size", "time", "servers")
+    assert ArrivalView.__slots__ == ("size", "servers")
     # each placeable server is exactly (id, level, tag); First Fit sets no tag
     assert [view.servers for view in spy.views] == [(), ((1, 3, None),), ((1, 7, None),)]
     # slots forbid smuggling extra attributes onto a view
@@ -168,19 +170,18 @@ class _Nesting:
         self.inner_runs: list[SpyStrategy] = []
 
     def place(self, view):
-        shown = (view.job_id, view.size, view.time, tuple(view.servers))
+        shown = (view.size, tuple(view.servers))
         if not self.inner_runs:
             self.inner_runs.append(SpyStrategy(FirstFit(self.seq.capacity.e)))
             simulate(self.inner_runs[0], self.seq)
-        assert (view.job_id, view.size, view.time, tuple(view.servers)) == shown
+        assert (view.size, tuple(view.servers)) == shown
         return FirstFit(self.seq.capacity.e).place(view)
 
 
 def test_each_run_updates_one_view_of_its_own(three_job_instance):
     servers = ((1, 6, None), (2, 1, 9))
-    for view in (ArrivalView(4, 3, 7, servers),
-                 ArrivalView(job_id=4, size=3, time=7, servers=servers)):
-        assert (view.job_id, view.size, view.time, view.servers) == (4, 3, 7, servers)
+    for view in (ArrivalView(3, servers), ArrivalView(size=3, servers=servers)):
+        assert (view.size, view.servers) == (3, servers)
     first, second = SpyStrategy(FirstFit(10)), SpyStrategy(FirstFit(10))
     simulate(first, three_job_instance)
     simulate(second, three_job_instance)
@@ -204,7 +205,7 @@ def test_view_levels_reflect_departures():
     spy = SpyStrategy(FirstFit(10))
     simulate(spy, seq)
     last_view = spy.views[-1]  # what the last view showed while place ran
-    assert last_view.time == 4
+    assert len(spy.views) == 3 and last_view.size == 5  # job 3, arriving at t=4
     assert [level for _, level, _ in last_view.servers] == [2]  # job 1 already gone
 
 
@@ -256,6 +257,53 @@ def test_closed_or_released_servers_never_reappear(seq):
                 assert not gone & {sid for sid, _, _ in next(views).servers}
 
 
+def _decided_on_both(make, seq, altered, tau):
+    """What runs of ``make(s)`` over ``seq`` and over ``altered`` had decided by ``tau``."""
+    return [decided_by(simulate(make(s), s, record_events=False), tau) for s in (seq, altered)]
+
+
+# The online restriction: two runs whose sequences share every departure at
+# or before a step tau place the jobs arriving by tau alike and close the same
+# servers by tau, since nothing after tau can have reached the strategy yet.
+@given(job_sequences(max_jobs=16, max_time=10), st.integers(0, 16), st.integers(1, 6),
+       st.data())
+def test_runs_sharing_departures_up_to_a_step_decide_alike_up_to_it(seq, tau, mu, data):
+    later = st.integers(tau + 1, tau + 12)
+    altered = with_departures_after(seq, tau,
+                                    lambda job: max(job.arrival + 1, data.draw(later)))
+    for spec in all_strategy_specs(mu):
+        first, second = _decided_on_both(lambda s: build_strategy(spec, s.capacity.e),
+                                         seq, altered, tau)
+        assert first == second, spec
+
+
+@pytest.mark.parametrize("mu", [2, 10, 100])
+def test_runs_sharing_departures_up_to_a_step_decide_alike_on_battery_seeds(mu):
+    seq = gen_uniform(UniformParams(n=1000, e=1000, t=1000, mu=mu,
+                                    seed=BATTERY_SEED + mu * 10_000))
+    tau = 500
+    altered = with_departures_after(seq, tau,
+                                    lambda job: max(job.arrival, tau) + 1 + job.id % mu)
+    later_differ = []
+    for spec in all_strategy_specs(mu):
+        first, second = (simulate(build_strategy(spec, 1000), s, record_events=False)
+                         for s in (seq, altered))
+        assert decided_by(first, tau) == decided_by(second, tau), spec
+        later_differ.append(first.total_cost != second.total_cost)
+    assert all(later_differ)  # the moved departures do change each run
+
+
+def test_a_departure_peeking_strategy_fails_the_online_property():
+    # job 2 lasts 2 steps in seq and 8 in altered, which share every
+    # departure up to step 1: First Fit places it alike in both, but the
+    # peeking First Fit gives the long job a server of its own
+    seq = JobSequence([Job(1, 5, 0, 2), Job(2, 5, 1, 3)], CapacityConfig(10))
+    altered = with_departures_after(seq, 1, lambda job: 9)
+    assert _decided_on_both(lambda s: FirstFit(10), seq, altered, 1) == [({1: 1, 2: 1}, {})] * 2
+    assert _decided_on_both(lambda s: PeekingFirstFit(s, limit=4), seq, altered, 1) == [
+        ({1: 1, 2: 1}, {}), ({1: 1, 2: 2}, {})]
+
+
 def _assert_same_run(spec, e, seq, record_events=True):
     spy, ref_spy = (SpyStrategy(build_strategy(spec, e)) for _ in range(2))
     result = simulate(spy, seq, record_events=record_events)
@@ -270,7 +318,6 @@ def _assert_same_run(spec, e, seq, record_events=True):
     assert result.trace.events == expected.trace.events, spec
     assert result.trace.servers == expected_servers, spec
     assert result.trace.assignments == expected.trace.assignments, spec
-    assert result.per_server == expected.per_server, spec
     assert result.total_cost == expected.total_cost, spec
     assert result.critical_count == expected.critical_count, spec
     assert result == expected, spec
@@ -347,7 +394,7 @@ _SMALL_DESK = UniformParams(n=300, e=100, t=100, mu=6, seed=7)
 
 
 @pytest.mark.parametrize("record_events", [True, False])
-def test_records_and_per_server_are_built_on_first_read(monkeypatch, record_events):
+def test_records_are_built_on_first_read(monkeypatch, record_events):
     built: list[int] = []
     build_slotted = core._build_slotted
 
@@ -371,7 +418,6 @@ def test_records_and_per_server_are_built_on_first_read(monkeypatch, record_even
         servers = result.trace.servers
         assert built == list(range(1, result.servers_opened + 1)), spec
         assert result.trace.servers is servers
-        assert result.per_server is result.per_server
         built.clear()
 
 
@@ -382,11 +428,11 @@ def test_an_unread_result_copies_pickles_and_replaces_as_a_read_one(record_event
         def run():
             result = simulate(build_strategy(spec, seq.capacity.e), seq,
                               record_events=record_events)
-            assert "per_server" not in vars(result) and "servers" not in vars(result.trace)
+            assert "servers" not in vars(result.trace)
             return result
 
         read = run()
-        assert read.per_server and read.trace.servers
+        assert read.trace.servers
         for clone in (pickle.loads(pickle.dumps(run())), copy.copy(run()),
                       copy.deepcopy(run())):
             assert clone == read, spec
