@@ -2,15 +2,18 @@
 
 Within a grid cell every strategy runs on the same generated sequences
 (trial i uses seed ``seed_base + i``), so strategy comparisons are paired.
-Aggregation is a deterministic fold over trial index order, which makes
-the output independent of execution order and parallelism degree.
+A trial yields its sequence's utilization once, then one cost per strategy
+in selection order.  One fold takes the trials in grid and trial order and
+turns each cell's trials into one row per strategy, so the output does not
+depend on execution order or the number of workers.  Each output table
+takes its columns from the fields of its record, :class:`AggregateRow`.
 """
 
 from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from itertools import islice
 
@@ -24,11 +27,6 @@ from .strategies import build_strategy
 
 __all__ = ["ExperimentSpec", "AggregateRow", "BenchError", "run_experiment",
            "rows_to_csv", "summary_table"]
-
-AGGREGATE_HEADER = [
-    "strategy", "n", "e", "t", "mu", "trials",
-    "mean_ratio", "std_ratio", "mean_cost", "mean_util",
-]
 
 
 class BenchError(Exception):
@@ -66,7 +64,11 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class AggregateRow:
-    """Mean performance of one strategy in one grid cell."""
+    """Mean performance of one strategy in one grid cell.
+
+    Its fields, in order, are the columns of the bench CSV and the keys of
+    each ``bench --json`` object.
+    """
 
     strategy: str
     n: int
@@ -80,17 +82,20 @@ class AggregateRow:
     mean_util: Fraction
 
 
-def _run_trial(args) -> list[tuple[str, int, Fraction]]:
-    """One seeded sequence, all strategies on it; returns (name, cost, util) rows."""
+AGGREGATE_HEADER = [f.name for f in fields(AggregateRow)]
+
+
+def _run_trial(args) -> tuple[Fraction, list[int]]:
+    """One seeded sequence, all strategies on it: its utilization, then each strategy's cost."""
     n, e, t, mu, seed, strategy_names, oracle = args
     seq = gen_uniform(UniformParams(n=n, e=e, t=t, mu=mu, seed=seed))
     util = utilization(seq)
     opt = brute_force_opt(seq) if oracle else None
-    out = []
+    costs = []
     for name in strategy_names:
         # only the cost is kept, so a run's trace is freed before the next run
         cost = simulate(build_strategy(name, e, mu=mu), seq, record_events=False).total_cost
-        if Fraction(cost) < util:
+        if cost < util:
             raise BenchError(
                 f"cost {cost} below utilization {util} (strategy {name}, seed {seed})"
             )
@@ -98,8 +103,8 @@ def _run_trial(args) -> list[tuple[str, int, Fraction]]:
             raise BenchError(
                 f"cost {cost} below exact optimum {opt} (strategy {name}, seed {seed})"
             )
-        out.append((name, cost, util))
-    return out
+        costs.append(cost)
+    return util, costs
 
 
 def run_experiment(spec: ExperimentSpec) -> list[AggregateRow]:
@@ -140,37 +145,24 @@ def run_experiment(spec: ExperimentSpec) -> list[AggregateRow]:
 
 
 def _aggregate_cells(spec, cells, per_trial_results) -> list[AggregateRow]:
-    """Fold the trial results, in grid and trial order, into rows per cell."""
+    """Fold the (util, costs) trials, in grid and trial order, into rows per cell."""
     rows: list[AggregateRow] = []
+    k = spec.trials
     for n, e, t, mu in cells:
         try:
-            per_trial = list(islice(per_trial_results, spec.trials))
+            utils, per_trial_costs = zip(*islice(per_trial_results, k))
         except (BenchError, ValueError) as exc:
             raise BenchError(f"cell n={n} e={e} t={t} mu={mu}: {exc}") from exc
-        rows.extend(_aggregate_cell(spec, n, e, t, mu, per_trial))
-    return rows
-
-
-def _aggregate_cell(spec, n, e, t, mu, per_trial) -> list[AggregateRow]:
-    rows = []
-    for idx, name in enumerate(spec.strategies):
-        costs = [trial[idx][1] for trial in per_trial]
-        utils = [trial[idx][2] for trial in per_trial]
-        ratios = [Fraction(c) / u for c, u in zip(costs, utils)]
-        rows.append(
-            AggregateRow(
-                strategy=name,
-                n=n, e=e, t=t, mu=mu,
-                trials=spec.trials,
-                mean_ratio=sum(ratios, Fraction(0)) / spec.trials,
-                std_ratio=(
-                    statistics.stdev(float(r) for r in ratios)
-                    if spec.trials >= 2 else 0.0
-                ),
-                mean_cost=Fraction(sum(costs), spec.trials),
-                mean_util=sum(utils, Fraction(0)) / spec.trials,
-            )
-        )
+        mean_util = sum(utils, Fraction(0)) / k
+        for name, costs in zip(spec.strategies, zip(*per_trial_costs)):
+            ratios = [cost / util for cost, util in zip(costs, utils)]
+            rows.append(AggregateRow(
+                name, n, e, t, mu, k,
+                mean_ratio=sum(ratios, Fraction(0)) / k,
+                std_ratio=statistics.stdev(map(float, ratios)) if k >= 2 else 0.0,
+                mean_cost=Fraction(sum(costs), k),
+                mean_util=mean_util,
+            ))
     return rows
 
 
@@ -178,14 +170,10 @@ def rows_to_csv(rows: list[AggregateRow], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(AGGREGATE_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.strategy, r.n, r.e, r.t, r.mu, r.trials,
-                f"{float(r.mean_ratio):.6f}",
-                f"{r.std_ratio:.6f}",
-                f"{float(r.mean_cost):.3f}",
-                f"{float(r.mean_util):.3f}",
-            ])
+        for row in rows:
+            *cell, ratio, std, cost, util = astuple(row)
+            writer.writerow([*cell, f"{float(ratio):.6f}", f"{std:.6f}",
+                             f"{float(cost):.3f}", f"{float(util):.3f}"])
 
 
 def summary_table(rows: list[AggregateRow]) -> str:

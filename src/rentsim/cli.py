@@ -13,7 +13,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bench import (
-    AGGREGATE_HEADER,
     BenchError,
     ExperimentSpec,
     rows_to_csv,
@@ -161,11 +160,9 @@ def cmd_bench(args) -> int:
     if args.out:
         rows_to_csv(rows, args.out)
     if args.json:
+        # each row's own fields in order, its exact means as floats
         print(json.dumps(
-            [dict(zip(AGGREGATE_HEADER,
-                      [r.strategy, r.n, r.e, r.t, r.mu, r.trials,
-                       float(r.mean_ratio), r.std_ratio,
-                       float(r.mean_cost), float(r.mean_util)]))
+            [{k: float(v) if isinstance(v, Fraction) else v for k, v in vars(r).items()}
              for r in rows],
             indent=2,
         ))

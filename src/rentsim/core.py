@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -57,8 +57,6 @@ __all__ = [
     "read_sequence_csv",
     "write_sequence_csv",
 ]
-
-CSV_HEADER = ["id", "size", "arrival", "departure"]
 
 # the event kinds: (phase, carries a job id, carries a server id); within a
 # time step depart/release (phase 0) happen strictly before arrive/place/close
@@ -114,6 +112,9 @@ class Job:
                 or not all(map(gt, departures, arrivals))):
             return list(map(cls, ids, sizes, arrivals, departures))
         return _build_slotted(cls, len(ids), ids, sizes, arrivals, departures)
+
+
+CSV_HEADER = [f.name for f in fields(Job)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -527,8 +528,7 @@ def write_sequence_csv(seq: JobSequence, path) -> None:
         fh.write(f"# capacity={seq.capacity.e}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for job in seq.jobs:
-            writer.writerow([job.id, job.size, job.arrival, job.departure])
+        writer.writerows(map(attrgetter(*CSV_HEADER), seq.jobs))
 
 
 def read_sequence_csv(path) -> JobSequence:

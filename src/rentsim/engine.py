@@ -68,7 +68,7 @@ __all__ = [
     "trace_from_events",
 ]
 
-EVENT_HEADER = ["t", "kind", "job_id", "server_id"]
+EVENT_HEADER = list(Event._fields)
 _HEADER_LINE = ",".join(EVENT_HEADER) + "\n"
 # characters per block of read_event_csv; a block then runs to its line's end.
 # A block's cells live until it is converted: a 1000-job log read as one

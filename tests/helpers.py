@@ -16,11 +16,15 @@ lane-parallel ``SplitMix64.draw`` is compared with, and
 and ``reference_read_event_csv`` are the ``csv``-module writer and per-row
 reader that the one-block writer and the column-checked reader in
 ``rentsim.engine`` are compared with, byte for byte and row for row.
+``reference_run_experiment`` is the plain per-cell, per-trial,
+per-strategy loop that ``rentsim.run_experiment``'s fold is compared with,
+field for field.
 """
 
 from __future__ import annotations
 
 import csv
+import statistics
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -36,7 +40,11 @@ from rentsim import (
     PlacementTrace,
     RunResult,
     ServerRecord,
+    UniformParams,
+    build_strategy,
+    gen_uniform,
 )
+from rentsim.bench import AggregateRow
 from rentsim.bounds import BoundEntry
 from rentsim.core import (
     EVENT_KINDS,
@@ -230,6 +238,35 @@ class PeekingFirstFit:
         if job.departure - job.arrival > self.limit:
             return Decision()
         return self.first_fit.place(view)
+
+
+def reference_run_experiment(spec) -> list[AggregateRow]:
+    """Oracle for ``run_experiment``: each trial's utilization and costs
+    computed directly, then exact means and the sample standard deviation."""
+    rows = []
+    for n in spec.ns:
+        for e in spec.es:
+            for t in spec.ts:
+                for mu in spec.mus:
+                    seqs = [gen_uniform(UniformParams(n=n, e=e, t=t, mu=mu,
+                                                      seed=spec.seed_base + i))
+                            for i in range(spec.trials)]
+                    utils = [Fraction(sum(job.size * (job.departure - job.arrival)
+                                          for job in seq.jobs), e) for seq in seqs]
+                    for name in spec.strategies:
+                        costs = [reference_simulate(build_strategy(name, e, mu=mu), seq,
+                                                    record_events=False)[0].total_cost
+                                 for seq in seqs]
+                        ratios = [Fraction(cost) / util for cost, util in zip(costs, utils)]
+                        rows.append(AggregateRow(
+                            strategy=name, n=n, e=e, t=t, mu=mu, trials=spec.trials,
+                            mean_ratio=sum(ratios) / spec.trials,
+                            std_ratio=(statistics.stdev([float(r) for r in ratios])
+                                       if spec.trials > 1 else 0.0),
+                            mean_cost=Fraction(sum(costs)) / spec.trials,
+                            mean_util=sum(utils) / spec.trials,
+                        ))
+    return rows
 
 
 _MASK64 = (1 << 64) - 1

@@ -34,7 +34,7 @@ from rentsim.cli import main
 from rentsim.engine import EVENT_BLOCK_CHARS
 from rentsim.strategies import build_strategy
 
-from helpers import exact_ratio
+from helpers import exact_ratio, reference_run_experiment
 
 
 SMALL_SPEC = dict(
@@ -58,6 +58,23 @@ def test_single_trial_bench_equals_a_direct_run():
     assert row.std_ratio == 0.0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("grid", [
+    # two cells, three trials each: cell boundaries, per-trial means and stdev
+    dict(strategies=("nf", "ff", "mtf"), ns=(40,), es=(10,), ts=(30,), mus=(2, 5),
+         trials=3, seed_base=7),
+    # one trial: std_ratio is 0.0
+    dict(strategies=("bf", "mnf"), ns=(40,), es=(10,), ts=(30,), mus=(3,),
+         trials=1, seed_base=4),
+], ids=["two-cells-three-trials", "one-trial"])
+def test_bench_rows_equal_the_plain_loop_field_for_field(grid, workers):
+    spec = ExperimentSpec(**grid, workers=workers)
+    rows, expected = run_experiment(spec), reference_run_experiment(spec)
+    # types too: a float equal to a Fraction would pass a value comparison
+    assert ([[(k, type(v), v) for k, v in vars(r).items()] for r in rows]
+            == [[(k, type(v), v) for k, v in vars(r).items()] for r in expected])
+
+
 def test_bench_rows_cover_grid_in_order_and_ratios_dominate_one():
     spec = ExperimentSpec(**SMALL_SPEC)
     rows = run_experiment(spec)
@@ -65,6 +82,8 @@ def test_bench_rows_cover_grid_in_order_and_ratios_dominate_one():
     assert all(r.mean_ratio >= 1 for r in rows)
     table = summary_table(rows)
     assert table.count("*") == 1  # one best strategy for the single cell
+    best = min(rows, key=lambda r: r.mean_ratio).strategy
+    assert [line.split()[0] for line in table.splitlines() if line.endswith("*")] == [best]
 
 
 def test_bench_output_is_byte_deterministic(tmp_path):

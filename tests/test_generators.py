@@ -14,7 +14,9 @@ import rentsim
 
 from rentsim import (
     AdversaryParams,
+    CapacityConfig,
     Job,
+    JobSequence,
     SplitMix64,
     UniformParams,
     adversary_ratio_bound,
@@ -28,7 +30,7 @@ from rentsim import (
     write_sequence_csv,
 )
 
-from helpers import next_u64, randint, reference_draw
+from helpers import PeekingFirstFit, all_strategy_specs, next_u64, randint, reference_draw
 
 
 def test_splitmix64_reference_vector():
@@ -221,6 +223,56 @@ def test_adversary_forces_the_ratio_floor(target):
     result20 = simulate(build_strategy(target, 10), seq20, record_events=False)
     ratio20 = Fraction(result20.total_cost) / offline20
     assert abs(ratio20 - floor) <= Fraction(5, 100) * floor
+
+
+def _phases_grouped_unlike_the_probe(params, make_strategy) -> list[int]:
+    """The phases whose jobs the real run groups into servers otherwise than the probe.
+
+    The adversary picks departures from a probe run that places a phase's
+    arrivals with every job departing at mu*delta.  It assumes the run on
+    the real sequence groups them alike, which holds only if no strategy
+    reads a departure.  ``make_strategy(seq)`` builds the strategy for a run
+    on ``seq``.
+    """
+    seq, _ = gen_adversarial(params)
+    real = simulate(make_strategy(seq), seq, record_events=False).trace.assignments
+    length = params.mu * params.delta
+    mismatched = []
+    for phase in range(params.phases):
+        start = phase * length
+        jobs = [Job(job.id, job.size, start, start + length)
+                for job in seq.jobs if job.arrival == start]
+        probe_seq = JobSequence(jobs, CapacityConfig(params.e))
+        probe = simulate(make_strategy(probe_seq), probe_seq, record_events=False)
+        groups = []
+        for assignments in (real, probe.trace.assignments):
+            servers: dict[int, set[int]] = {}
+            for job in jobs:
+                servers.setdefault(assignments[job.id], set()).add(job.id)
+            groups.append(sorted(map(sorted, servers.values())))
+        if groups[0] != groups[1]:
+            mismatched.append(phase)
+    return mismatched
+
+
+@pytest.mark.parametrize("phases", [1, 5])
+@pytest.mark.parametrize("mu", [2, 10])
+@pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 10)], ids=["1/2", "1/10"])
+def test_adversary_phases_are_grouped_as_in_the_probe(eps, mu, phases):
+    e = eps.denominator
+    for target in all_strategy_specs(mu):
+        params = AdversaryParams(eps=eps, mu=mu, delta=1, phases=phases, target=target, e=e)
+        assert _phases_grouped_unlike_the_probe(
+            params, lambda seq: build_strategy(target, e)) == [], target
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 10)], ids=["1/2", "1/10"])
+def test_a_departure_peeking_strategy_breaks_the_adversary_premise(eps):
+    # jobs staying longer than one step get a server of their own, so the
+    # probe (all jobs stay mu steps) and the real run group every phase apart
+    params = AdversaryParams(eps=eps, mu=2, delta=1, phases=3, target="ff", e=eps.denominator)
+    assert _phases_grouped_unlike_the_probe(
+        params, lambda seq: PeekingFirstFit(seq, limit=1)) == [0, 1, 2]
 
 
 def test_adversary_phases_are_time_disjoint():

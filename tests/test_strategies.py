@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -355,3 +356,31 @@ def test_next_fit_streams_show_at_most_one_server_each(seq, k):
         watch = _StreamWatch(build_strategy(spec, seq.capacity.e))
         simulate(watch, seq)
         assert watch.views == len(seq)
+
+
+# ------------------------------------------------ unit lengths (criterion 8c)
+
+@st.composite
+def _unit_length_sequences(draw):
+    e = draw(st.integers(2, 12))
+    rows = draw(st.lists(st.tuples(st.integers(1, e), st.integers(0, 3)),
+                         min_size=1, max_size=14))
+    jobs = [Job(i, size, t, t + 1) for i, (size, t) in enumerate(rows, 1)]
+    return JobSequence(jobs, CapacityConfig(e))
+
+
+def _servers_rented_per_step(seq, spec) -> Counter:
+    counts: Counter = Counter()
+    for server in simulate(build_strategy(spec, seq.capacity.e), seq).trace.servers:
+        counts.update(range(server.opened_at, server.released_at))
+    return counts
+
+
+@given(_unit_length_sequences())
+def test_next_fit_rents_the_most_servers_at_every_step_on_unit_lengths(seq):
+    # the claim behind criterion 8c: with every job leaving one step after it
+    # arrives, each step is a fresh bin packing, and Next Fit needs the most bins
+    nf = _servers_rented_per_step(seq, "nf")
+    for spec in ("ff", "bf", "mtf"):
+        other = _servers_rented_per_step(seq, spec)
+        assert all(nf[t] >= other[t] for t in range(4)), spec
