@@ -177,9 +177,9 @@ def nf_small_k_unmet(seq: JobSequence, k: Fraction | int) -> str | None:
     k = Fraction(k)
     if k < 2:
         return f"k={k} is below 2"
-    largest = max(seq.jobs, key=lambda job: job.size)
-    if largest.size * k > seq.capacity.e:
-        return f"job {largest.id} has size {largest.size} > E/k = {seq.capacity.e / k}"
+    i = max(range(len(seq)), key=seq.sizes.__getitem__)
+    if seq.sizes[i] * k > seq.capacity.e:
+        return f"job {seq.ids[i]} has size {seq.sizes[i]} > E/k = {seq.capacity.e / k}"
     return None
 
 
@@ -255,10 +255,9 @@ def check_mtf_bound(result: RunResult, stats: SequenceStats) -> BoundEntry:
     e = seq.capacity.e
     mu1 = stats.mu + 1
     a, scale = mu1.numerator, e * mu1.denominator
-    arrivals = list(map(attrgetter("arrival"), seq.jobs))  # sorted: jobs are in arrival order
-    departures = list(map(attrgetter("departure"), seq.jobs))
-    segments = merge_intervals(zip(arrivals, departures))
-    work = list(map(mul, map(attrgetter("size"), seq.jobs), map(sub, departures, arrivals)))
+    arrivals = seq.arrivals  # sorted: a sequence is in arrival order
+    segments = merge_intervals(zip(arrivals, seq.departures))
+    work = list(map(mul, seq.sizes, map(sub, seq.departures, arrivals)))
     seg_work = _segment_sums(arrivals, work, segments)
     servers = result.trace.servers
     opened = list(map(attrgetter("opened_at"), servers))
@@ -289,7 +288,7 @@ def check_universal_bounds(
     """
     cost = result.total_cost
     seq = result.trace.sequence
-    k = Fraction(seq.capacity.e, min(job.size for job in seq.jobs))
+    k = Fraction(seq.capacity.e, min(seq.sizes))
     return [
         BoundEntry.at_least("lb_span", stats.span, cost),
         BoundEntry.at_least("lb_util", stats.util, cost),

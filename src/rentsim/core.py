@@ -15,16 +15,17 @@ Conventions used throughout the package:
 * a trace is its assignments and its closes; each server record is derived
   from them on read, never stored, so it cannot disagree with its jobs.
 
-Records built in bulk (the jobs of a generated sequence, a trace's server
-records) are made in C by one helper, ``_build_slotted``, which stores
-whole columns through the slot descriptors.  ``validate_trace`` does per
+A sequence is four int columns, which its timeline (four more columns, not
+one tuple per event), statistics, CSV rows and bound checks read; its
+:class:`Job` records, like a trace's server records, are built only when
+read, in C by ``_build_slotted``, which stores whole columns through the
+slot descriptors.  ``validate_trace`` does per
 server only the work that can find a violation: a one-job server is not
 sorted, and the running load sum runs only when the members' sizes add up
-past E.  A sequence's cached timeline is four columns of its jobs' own
-ints, not one tuple per event.  Both readers take their lines from one
-source, ``text_lines``, which decodes each line only when it is reached,
-so a malformed row, or one larger than a capacity read before it, is
-named before any later line that is not UTF-8.
+past E.  Both readers take their lines from one source, ``text_lines``,
+which decodes each line only when it is reached, so a malformed row, or one
+larger than a capacity read before it, is named before any later line that
+is not UTF-8.
 """
 
 from __future__ import annotations
@@ -100,19 +101,6 @@ class Job:
                 f"job {self.id}: departure {self.departure} must exceed arrival {self.arrival}"
             )
 
-    @classmethod
-    def from_columns(cls, ids, sizes, arrivals, departures) -> list[Job]:
-        """``Job(*row)`` for every row of four equal-length columns, built in C.
-
-        The columns are checked as ``__post_init__`` checks each row; if any
-        row fails, the rows are built one by one, so the first bad row raises
-        its own message.
-        """
-        if (min(sizes, default=1) < 1 or min(arrivals, default=0) < 0
-                or not all(map(gt, departures, arrivals))):
-            return list(map(cls, ids, sizes, arrivals, departures))
-        return _build_slotted(cls, len(ids), ids, sizes, arrivals, departures)
-
 
 CSV_HEADER = [f.name for f in fields(Job)]
 
@@ -130,31 +118,54 @@ class CapacityConfig:
 
 @dataclass(frozen=True)
 class JobSequence:
-    """Input sequence, stored sorted by (arrival, input position).
+    """Input sequence: four job columns, sorted by (arrival, input position).
 
-    The stable sort means jobs sharing an arrival step are served in the
-    order they were supplied, which is what makes runs reproducible.
+    The stable sort serves jobs sharing an arrival step in the order they
+    were supplied, so runs reproduce; :attr:`jobs` builds records when read.
     """
 
-    jobs: tuple[Job, ...]
+    ids: tuple[int, ...]
+    sizes: tuple[int, ...]
+    arrivals: tuple[int, ...]
+    departures: tuple[int, ...]
     capacity: CapacityConfig
 
     def __init__(self, jobs: Iterable[Job], capacity: CapacityConfig):
-        ordered = tuple(sorted(jobs, key=attrgetter("arrival")))
-        # checked by column; the per-job loop runs only to name the first offender
-        if (len(set(map(attrgetter("id"), ordered))) < len(ordered)
-                or max(map(attrgetter("size"), ordered), default=0) > capacity.e):
+        rows = tuple(zip(*map(attrgetter(*CSV_HEADER), jobs))) or ((),) * 4
+        vars(self).update(vars(JobSequence.from_columns(*rows, capacity)))
+
+    @classmethod
+    def from_columns(cls, ids, sizes, arrivals, departures, capacity) -> JobSequence:
+        """The sequence of ``Job(*row)`` for each row of four equal-length columns.
+
+        Checked by column as ``Job`` checks a row, then in arrival order for
+        repeated ids and sizes above E; a failed check reruns row by row, so
+        the first bad row raises its own message.
+        """
+        if (min(sizes, default=1) < 1 or min(arrivals, default=0) < 0
+                or not all(map(gt, departures, arrivals))):
+            list(map(Job, ids, sizes, arrivals, departures))
+        order = sorted(range(len(ids)), key=arrivals.__getitem__)
+        ids, sizes, arrivals, departures = (tuple(map(column.__getitem__, order))
+                                            for column in (ids, sizes, arrivals, departures))
+        if len(set(ids)) < len(ids) or max(sizes, default=0) > capacity.e:
             seen: set[int] = set()
-            for job in ordered:
-                if job.id in seen:
-                    raise ValueError(f"duplicate job id {job.id}")
-                seen.add(job.id)
-                if job.size > capacity.e:
-                    raise ValueError(
-                        f"job {job.id}: size {job.size} exceeds capacity {capacity.e}"
-                    )
-        object.__setattr__(self, "jobs", ordered)
-        object.__setattr__(self, "capacity", capacity)
+            for jid, size in zip(ids, sizes):
+                if jid in seen:
+                    raise ValueError(f"duplicate job id {jid}")
+                seen.add(jid)
+                if size > capacity.e:
+                    raise ValueError(f"job {jid}: size {size} exceeds capacity {capacity.e}")
+        seq = object.__new__(cls)
+        vars(seq).update(ids=ids, sizes=sizes, arrivals=arrivals, departures=departures,
+                         capacity=capacity)
+        return seq
+
+    @cached_property
+    def jobs(self) -> tuple[Job, ...]:
+        """The :class:`Job` records, in sequence order, built in C on first read."""
+        return tuple(_build_slotted(Job, len(self), self.ids, self.sizes, self.arrivals,
+                                    self.departures))
 
     @cached_property
     def timeline(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
@@ -168,18 +179,14 @@ class JobSequence:
         kept.  Computed once per sequence, so every run over it shares one
         schedule.
         """
-        jobs = self.jobs
-        n = len(jobs)
-        ids = list(map(attrgetter("id"), jobs)) * 2
-        sizes = list(map(attrgetter("size"), jobs)) * 2
-        times = list(map(attrgetter("departure"), jobs))
-        times += map(attrgetter("arrival"), jobs)
+        n = len(self.ids)
+        times, ids, sizes = self.departures + self.arrivals, self.ids * 2, self.sizes * 2
         order = sorted(range(2 * n), key=times.__getitem__)
         return (tuple(map(times.__getitem__, order)), tuple(map(ids.__getitem__, order)),
                 tuple(map(sizes.__getitem__, order)), tuple(map(n.__le__, order)))
 
     def __len__(self) -> int:
-        return len(self.jobs)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.jobs)
@@ -259,25 +266,20 @@ def fraction_json(value: Fraction | int) -> int | str:
 
 def utilization(seq: JobSequence) -> Fraction:
     """Sum of size * length over capacity: the ``util`` lower bound on any cost."""
-    jobs = seq.jobs
-    lengths = map(sub, map(attrgetter("departure"), jobs), map(attrgetter("arrival"), jobs))
-    return Fraction(sum(map(mul, map(attrgetter("size"), jobs), lengths)), seq.capacity.e)
+    lengths = map(sub, seq.departures, seq.arrivals)
+    return Fraction(sum(map(mul, seq.sizes, lengths)), seq.capacity.e)
 
 
 def compute_stats(seq: JobSequence) -> SequenceStats:
     """Compute span, utilization and the length statistics of a sequence."""
-    if not seq.jobs:
+    if not seq.ids:
         raise ValueError("empty sequence")
-    e = seq.capacity.e
-    arrivals = list(map(attrgetter("arrival"), seq.jobs))
-    departures = list(map(attrgetter("departure"), seq.jobs))
-    sizes = list(map(attrgetter("size"), seq.jobs))
-    lengths = list(map(sub, departures, arrivals))
+    lengths = list(map(sub, seq.departures, seq.arrivals))
     delta = min(lengths)
     return SequenceStats(
-        span=union_measure(zip(arrivals, departures)),
+        span=union_measure(zip(seq.arrivals, seq.departures)),
         util=utilization(seq),
-        total_size=Fraction(sum(sizes), e),
+        total_size=Fraction(sum(seq.sizes), seq.capacity.e),
         total_length=sum(lengths),
         delta=delta,
         mu=Fraction(max(lengths), delta),
@@ -528,7 +530,7 @@ def write_sequence_csv(seq: JobSequence, path) -> None:
         fh.write(f"# capacity={seq.capacity.e}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows(map(attrgetter(*CSV_HEADER), seq.jobs))
+        writer.writerows(zip(seq.ids, seq.sizes, seq.arrivals, seq.departures))
 
 
 def read_sequence_csv(path) -> JobSequence:

@@ -28,15 +28,14 @@ object per server, and a dict of the closed servers' close steps.  Sizes
 are at least 1, so a server is empty exactly when its level is 0; every id a
 strategy names is checked against the placeable servers, never by list
 bounds.  The cost is a running sum: each opening subtracts its step and each
-release adds its step.  Decisions and events are named tuples, event rows
-built by ``tuple.__new__`` in C and each decision unpacked once, and each
-server in a view is a plain tuple.  A named tuple's field reads are slower
-than slot reads, so ``validate_trace`` unpacks each log row and
-:func:`trace_from_events` reads fields beyond a row's kind only on the rows
-it keeps.  The trace is the run's assignments (in placement order), its
-closes and its events; the trace derives its ``ServerRecord``s on first read
-from the assignments and the jobs' times, so a caller that reads only the
-cost never pays for them.
+release adds its step.  A decision is unpacked once, by position, so it may
+be a :class:`Decision` or a plain triple; events are named tuples built by
+``tuple.__new__`` in C, read by unpacking in ``validate_trace`` and by kind
+first in :func:`trace_from_events`; a server in a view is a plain tuple.
+The trace is the run's assignments (in placement order), its closes and its
+events; the trace derives its ``ServerRecord``s on first read from the
+assignments and the jobs' times, so a caller that reads only the cost never
+pays for them.
 
 The event log is written as one block of rows, each formatted once, byte
 for byte what ``csv.writer`` writes for them.  It is read back in bounded
@@ -110,6 +109,7 @@ class Decision(NamedTuple):
     servers the strategy abandons (it will never place into them again);
     the engine records the close but keeps renting them until released.
     ``tag`` is stored on the receiving server and echoed in later views.
+    A strategy may also return the plain tuple ``(place_in, close, tag)``.
     """
 
     place_in: int | None = None
@@ -122,17 +122,17 @@ class PlacementStrategy(Protocol):
 
     name: str
 
-    def place(self, view: ArrivalView) -> Decision: ...
+    def place(self, view: ArrivalView) -> tuple: ...
 
 
 class InfeasiblePlacementError(Exception):
-    """A strategy returned a decision the engine cannot apply."""
+    """A strategy returned a decision the engine cannot apply, kept as a :class:`Decision`."""
 
-    def __init__(self, message: str, *, time: int, job_id: int, decision: Decision):
+    def __init__(self, message: str, *, time: int, job_id: int, decision: tuple):
         super().__init__(f"infeasible placement: {message}")
         self.time = time
         self.job_id = job_id
-        self.decision = decision
+        self.decision = Decision._make(decision)
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,9 @@ def gen_uniform(params: UniformParams) -> JobSequence:
     """Deterministic uniform instance for a seed; ids follow draw order."""
     draws = SplitMix64(params.seed).draw(params._ranges() * params.n)
     arrivals = draws[1::3]
-    jobs = Job.from_columns(range(1, params.n + 1), draws[0::3], arrivals,
-                            list(map(add, arrivals, draws[2::3])))
-    return JobSequence(jobs, CapacityConfig(params.e))
+    return JobSequence.from_columns(range(1, params.n + 1), draws[0::3], arrivals,
+                                    list(map(add, arrivals, draws[2::3])),
+                                    CapacityConfig(params.e))
 
 
 @dataclass(frozen=True, slots=True)

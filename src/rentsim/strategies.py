@@ -8,7 +8,8 @@ So one strategy object can serve any number of runs, and it is
 structurally impossible for it to remember departure times.  A view is
 valid only while ``place`` runs (the engine reuses one view per run); its
 ``servers`` is a read-only, live iterable of ``(id, level, tag)`` tuples
-in opening order, unpacked in the scan.
+in opening order, unpacked in the scan.  A decision is a plain ``(place_in,
+close, tag)`` triple; those that take no parameter are built once, shared.
 
 Size thresholds (Modified Next Fit, Modified First Fit, Harmonic classes)
 are exact: with integer sizes and a rational K each reduces to an integer
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .core import CapacityConfig
-from .engine import ArrivalView, Decision
+from .engine import ArrivalView
 
 __all__ = [
     "NextFit",
@@ -78,25 +79,22 @@ class _Base:
         self.e = CapacityConfig(e).e
 
 
-# per-arrival decisions are built by tuple.__new__ in C, not by Decision's
-# Python-level __new__
-_new = tuple.__new__
 # the decisions that take no parameter, shared by every call
-_OPEN = Decision()
-_OPEN_STREAM = {stream: Decision(None, (), stream) for stream in ("small", "large")}
+_OPEN = (None, (), None)
+_OPEN_STREAM = {stream: (None, (), stream) for stream in ("small", "large")}
 
 
-def _next_fit_stream(view: ArrivalView, e: int, opening: Decision) -> Decision:
-    """Next Fit over the servers tagged ``opening.tag``: at most one is ever open.
+def _next_fit_stream(view: ArrivalView, e: int, opening: tuple) -> tuple:
+    """Next Fit over the servers tagged ``opening``'s tag: at most one is ever open.
 
     ``opening`` is the shared decision that opens the stream's next server.
     """
-    stream = opening.tag
+    stream = opening[2]
     for sid, level, tag in view.servers:
         if tag == stream:
             if level + view.size <= e:
-                return _new(Decision, (sid, (), None))
-            return _new(Decision, (None, (sid,), stream))
+                return (sid, (), None)
+            return (None, (sid,), stream)
     return opening
 
 
@@ -105,7 +103,7 @@ class NextFit(_Base):
 
     name = "nf"
 
-    def place(self, view: ArrivalView) -> Decision:
+    def place(self, view: ArrivalView) -> tuple:
         return _next_fit_stream(view, self.e, _OPEN)
 
 
@@ -120,7 +118,7 @@ class _TwoStreams(_Base):
         self.name = f"{self.kind}:{self.k}"
         self._small_below = self.e * self.k.denominator  # size < E/K
 
-    def _opening(self, size: int) -> Decision:
+    def _opening(self, size: int) -> tuple:
         """The decision opening the next server of ``size``'s stream, tagged with the stream."""
         return _OPEN_STREAM["small" if size * self.k.numerator < self._small_below else "large"]
 
@@ -130,7 +128,7 @@ class ModifiedNextFit(_TwoStreams):
 
     kind = "mnf"
 
-    def place(self, view: ArrivalView) -> Decision:
+    def place(self, view: ArrivalView) -> tuple:
         return _next_fit_stream(view, self.e, self._opening(view.size))
 
 
@@ -139,11 +137,11 @@ class FirstFit(_Base):
 
     name = "ff"
 
-    def place(self, view: ArrivalView) -> Decision:
+    def place(self, view: ArrivalView) -> tuple:
         room = self.e - view.size
         for sid, level, _ in view.servers:
             if level <= room:
-                return _new(Decision, (sid, (), None))
+                return (sid, (), None)
         return _OPEN
 
 
@@ -152,13 +150,13 @@ class ModifiedFirstFit(_TwoStreams):
 
     kind = "mff"
 
-    def place(self, view: ArrivalView) -> Decision:
+    def place(self, view: ArrivalView) -> tuple:
         opening = self._opening(view.size)
-        stream = opening.tag
+        stream = opening[2]
         room = self.e - view.size
         for sid, level, tag in view.servers:
             if tag == stream and level <= room:
-                return _new(Decision, (sid, (), None))
+                return (sid, (), None)
         return opening
 
 
@@ -167,7 +165,7 @@ class BestFit(_Base):
 
     name = "bf"
 
-    def place(self, view: ArrivalView) -> Decision:
+    def place(self, view: ArrivalView) -> tuple:
         room = self.e - view.size
         best = None
         best_level = -1
@@ -175,7 +173,7 @@ class BestFit(_Base):
             if best_level < level <= room:
                 best = sid
                 best_level = level
-        return _OPEN if best is None else _new(Decision, (best, (), None))
+        return _OPEN if best is None else (best, (), None)
 
 
 class Harmonic(_Base):
@@ -191,14 +189,14 @@ class Harmonic(_Base):
         self.name = f"harmonic:{self.k}"
         # the decision opening each size class's next server, made on the
         # class's first use (K and E are unbounded, so no table up front)
-        self._opening: dict[int, Decision] = {}
+        self._opening: dict[int, tuple] = {}
 
     def size_class(self, size: int) -> int:
         return min(self.k, self.e // size)
 
-    def place(self, view: ArrivalView) -> Decision:
+    def place(self, view: ArrivalView) -> tuple:
         c = self.size_class(view.size)
-        opening = self._opening.get(c) or self._opening.setdefault(c, Decision(None, (), c))
+        opening = self._opening.get(c) or self._opening.setdefault(c, (None, (), c))
         return _next_fit_stream(view, self.e, opening)
 
 
@@ -212,7 +210,7 @@ class MoveToFront(_Base):
 
     name = "mtf"
 
-    def place(self, view: ArrivalView) -> Decision:
+    def place(self, view: ArrivalView) -> tuple:
         room = self.e - view.size
         newest = 0  # stamps start at 1
         best = None
@@ -223,7 +221,7 @@ class MoveToFront(_Base):
             if tag > best_tag and level <= room:
                 best = sid
                 best_tag = tag
-        return _new(Decision, (best, (), newest + 1))
+        return (best, (), newest + 1)
 
 
 class _Kind(NamedTuple):

@@ -18,7 +18,9 @@ reader that the one-block writer and the column-checked reader in
 ``rentsim.engine`` are compared with, byte for byte and row for row.
 ``reference_run_experiment`` is the plain per-cell, per-trial,
 per-strategy loop that ``rentsim.run_experiment``'s fold is compared with,
-field for field.
+field for field.  ``reference_sequence_jobs`` is the per-row construction
+that ``rentsim.JobSequence``'s column checks and column sort are compared
+with, message for message and job for job.
 """
 
 from __future__ import annotations
@@ -68,6 +70,21 @@ def job_sequences(draw, max_jobs=10, max_e=12, max_time=15, max_length=6, min_jo
         length = draw(st.integers(1, max_length))
         jobs.append(Job(i + 1, size, arrival, arrival + length))
     return JobSequence(jobs, CapacityConfig(e))
+
+
+def reference_sequence_jobs(rows, e: int) -> list[Job]:
+    """A sequence's jobs, built row by row: each row a ``Job`` in input order,
+    then a stable sort by arrival, then, in that order, the first repeated id
+    or size above ``e`` raises ValueError."""
+    jobs = sorted((Job(*row) for row in rows), key=lambda job: job.arrival)
+    seen = set()
+    for job in jobs:
+        if job.id in seen:
+            raise ValueError(f"duplicate job id {job.id}")
+        seen.add(job.id)
+        if job.size > e:
+            raise ValueError(f"job {job.id}: size {job.size} exceeds capacity {e}")
+    return jobs
 
 
 # seeds of the acceptance battery: BATTERY_SEED + mu * 10_000 + instance index
@@ -141,22 +158,23 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
                 ),
             )
             decision = strategy.place(view)
-            for cid in decision.close:
+            place_in, close, tag = decision  # by position: a Decision or a plain triple
+            for cid in close:
                 target = live.get(cid)
                 if target is None or target.closed_at is not None:
                     raise infeasible(f"close of unknown or already closed server {cid}",
                                      t, job, decision)
                 target.closed_at = t
                 emit(t, "close", None, cid)
-            if decision.place_in is None:
+            if place_in is None:
                 srv = _ReferenceServer(next_id, t)
                 live[next_id] = srv
                 next_id += 1
             else:
-                srv = live.get(decision.place_in)
+                srv = live.get(place_in)
                 if srv is None or srv.closed_at is not None:
                     raise infeasible(
-                        f"target server {decision.place_in} is not open for placement",
+                        f"target server {place_in} is not open for placement",
                         t, job, decision)
                 if srv.level + job.size > e:
                     raise infeasible(
@@ -165,8 +183,8 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
             srv.level += job.size
             srv.resident.add(job.id)
             srv.jobs.append(job.id)
-            if decision.tag is not None:
-                srv.tag = decision.tag
+            if tag is not None:
+                srv.tag = tag
             assignments[job.id] = srv.id
             emit(t, "place", job.id, srv.id)
 

@@ -60,6 +60,19 @@ MUTANTS = [
     Mutant("nf-small-k-cap-doubled", "bounds.py",
            "cap = stats.total_size / (1 - 1 / k)",
            "cap = 2 * stats.total_size / (1 - 1 / k)"),
+    # the sequence's columns
+    Mutant("column-check-departure-at-arrival-passes", "core.py",
+           "or not all(map(gt, departures, arrivals))",
+           "or not all(map(lambda d, a: d >= a, departures, arrivals))"),
+    Mutant("column-check-drops-duplicate-ids", "core.py",
+           "if len(set(ids)) < len(ids) or max(sizes, default=0) > capacity.e:",
+           "if max(sizes, default=0) > capacity.e:"),
+    Mutant("arrival-sort-reverses-ties", "core.py",
+           "order = sorted(range(len(ids)), key=arrivals.__getitem__)",
+           "order = sorted(range(len(ids))[::-1], key=arrivals.__getitem__)"),
+    Mutant("utilization-reads-the-ids-column", "core.py",
+           "return Fraction(sum(map(mul, seq.sizes, lengths)), seq.capacity.e)",
+           "return Fraction(sum(map(mul, seq.ids, lengths)), seq.capacity.e)"),
 ]
 
 

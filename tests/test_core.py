@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from rentsim import (
@@ -31,6 +31,7 @@ from helpers import (
     pointwise_span,
     reference_capacity_violations,
     reference_compute_stats,
+    reference_sequence_jobs,
 )
 
 
@@ -63,6 +64,48 @@ def test_sequence_names_the_first_offender_in_arrival_order(jobs, message):
     with pytest.raises(ValueError) as error:
         JobSequence(jobs, CapacityConfig(5))
     assert str(error.value) == message
+
+
+@st.composite
+def job_rows(draw, max_jobs=8):
+    """Raw rows ``(id, size, arrival, departure)`` and a capacity; some rows are
+    invalid: size 0 or above E, negative arrival, departure at or before
+    arrival, repeated id."""
+    e = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, e + 1),
+                                   st.integers(-1, 5), st.integers(-1, 4)),
+                         max_size=max_jobs))
+    return [(jid, size, arrival, arrival + length)
+            for jid, size, arrival, length in rows], e
+
+
+@given(job_rows())
+@example(rows_e=([(2, 1, 3, 4), (1, 2, 0, 2), (3, 1, 3, 5), (4, 2, 0, 1)], 2))  # ties
+@example(rows_e=([(1, 1, 0, 1), (2, 0, 0, 1), (3, 9, -1, -1)], 2))  # size 0
+@example(rows_e=([(1, 1, 0, 1), (2, 1, -1, 1), (3, 0, 0, 0)], 2))  # negative arrival
+@example(rows_e=([(1, 1, 0, 1), (2, 1, 3, 3), (3, 0, -1, 0)], 2))  # departure = arrival
+@example(rows_e=([(1, 1, 0, 1), (2, 1, 3, 2), (3, 0, 0, 1)], 2))  # departure < arrival
+@example(rows_e=([(1, 1, 2, 3), (2, 1, 0, 3), (2, 3, 1, 3), (1, 1, 0, 1)], 2))  # duplicate id
+@example(rows_e=([(1, 1, 2, 3), (3, 3, 0, 3), (2, 4, 0, 3), (3, 1, 1, 2)], 2))  # size > E
+def test_column_built_and_job_built_sequences_agree(rows_e):
+    rows, e = rows_e
+    cap = CapacityConfig(e)
+    columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
+    try:
+        expected = tuple(reference_sequence_jobs(rows, e))
+    except ValueError as exc:
+        for build in (lambda: JobSequence.from_columns(*columns, cap),
+                      lambda: JobSequence([Job(*row) for row in rows], cap)):
+            with pytest.raises(ValueError) as error:
+                build()
+            assert str(error.value) == str(exc)
+        return
+    by_columns = JobSequence.from_columns(*columns, cap)
+    by_jobs = JobSequence([Job(*row) for row in rows], cap)
+    assert by_columns.jobs == by_jobs.jobs == expected
+    assert by_columns.timeline == by_jobs.timeline
+    assert by_columns == by_jobs and hash(by_columns) == hash(by_jobs)
+    assert repr(by_columns) == repr(by_jobs)
 
 
 def test_sequence_order_is_stable_on_equal_arrivals():

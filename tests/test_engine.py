@@ -15,6 +15,7 @@ from rentsim import (
     ArrivalView,
     CapacityConfig,
     Decision,
+    ExperimentSpec,
     InfeasiblePlacementError,
     Job,
     JobSequence,
@@ -23,10 +24,13 @@ from rentsim import (
     build_strategy,
     compute_stats,
     gen_uniform,
+    run_experiment,
     simulate,
     validate_trace,
+    write_sequence_csv,
 )
 from rentsim import core, engine
+from rentsim.core import utilization
 from rentsim.engine import read_event_csv, trace_from_events, write_event_csv
 from rentsim.strategies import BestFit, FirstFit, MoveToFront, NextFit
 
@@ -421,6 +425,39 @@ def test_records_are_built_on_first_read(monkeypatch, record_events):
         built.clear()
 
 
+def test_the_desk_path_builds_no_job_until_a_trace_is_validated(monkeypatch, tmp_path):
+    batches: list[type] = []
+    rows: list[int] = []
+    build_slotted, post_init = core._build_slotted, Job.__post_init__
+
+    def counting_build(cls, n, *columns):
+        batches.append(cls)
+        return build_slotted(cls, n, *columns)
+
+    def counting_post_init(job):
+        rows.append(job.id)
+        post_init(job)
+
+    monkeypatch.setattr(core, "_build_slotted", counting_build)
+    monkeypatch.setattr(Job, "__post_init__", counting_post_init)
+    p = _SMALL_DESK
+    specs = all_strategy_specs(p.mu)
+    seq = gen_uniform(p)
+    utilization(seq)
+    compute_stats(seq)
+    write_sequence_csv(seq, tmp_path / "seq.csv")  # what `rentsim generate uniform` does
+    for spec in specs:
+        for record_events in (False, True):
+            simulate(build_strategy(spec, p.e), seq, record_events=record_events)
+    run_experiment(ExperimentSpec(strategies=tuple(specs), ns=(p.n,), es=(p.e,), ts=(p.t,),
+                                  mus=(p.mu,), trials=2, seed_base=p.seed))
+    assert "jobs" not in vars(seq) and Job not in batches and rows == []
+    result = simulate(build_strategy("mtf", p.e), seq)
+    assert validate_trace(result.trace) == []
+    assert "jobs" in vars(seq) and batches.count(Job) == 1 and rows == []
+    assert seq.jobs == tuple(map(Job, seq.ids, seq.sizes, seq.arrivals, seq.departures))
+
+
 @pytest.mark.parametrize("record_events", [True, False])
 def test_an_unread_result_copies_pickles_and_replaces_as_a_read_one(record_events):
     seq = gen_uniform(_SMALL_DESK)
@@ -509,9 +546,33 @@ def test_decisions_naming_no_placeable_server_raise(bad):
     )
     script = (Decision(), Decision(), Decision(None, (2,)))
     assert simulate(_Scripted(*script, Decision(3)), seq).trace.assignments[4] == 3
-    with pytest.raises(InfeasiblePlacementError) as info:
-        simulate(_Scripted(*script, bad), seq)
-    assert (info.value.time, info.value.job_id, info.value.decision) == (3, 4, bad)
+    # the plain triple is named as the Decision it stands for
+    for returned in (bad, tuple(bad)):
+        with pytest.raises(InfeasiblePlacementError) as info:
+            simulate(_Scripted(*script, returned), seq)
+        assert (info.value.time, info.value.job_id, info.value.decision) == (3, 4, bad)
+        assert type(info.value.decision) is Decision
+
+
+class _Named:
+    """Returns the wrapped strategy's decisions as ``Decision`` named tuples."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+
+    def place(self, view):
+        return Decision._make(self.inner.place(view))
+
+
+@given(job_sequences(max_jobs=16, max_time=10), st.integers(1, 6), st.booleans())
+def test_a_decision_and_its_plain_triple_give_identical_runs(seq, mu, record_events):
+    e = seq.capacity.e
+    for spec in all_strategy_specs(mu):
+        plain = simulate(build_strategy(spec, e), seq, record_events=record_events)
+        named = simulate(_Named(build_strategy(spec, e)), seq, record_events=record_events)
+        assert named == plain, spec
+        assert named.trace.servers == plain.trace.servers, spec
 
 
 @given(job_sequences())
@@ -561,7 +622,7 @@ def test_event_log_round_trip(tmp_path, spec):
     assert all(type(obj) is ArrivalView for obj in spy.objects)
     # the decisions made during the run: the view itself is only valid then
     assert len(spy.decisions) == len(CLOSING_SEQUENCE)
-    assert all(type(decision) is Decision for decision in spy.decisions)
+    assert all(type(decision) is tuple and len(decision) == 3 for decision in spy.decisions)
     written = result.trace.events
     if spec.partition(":")[0] in ("nf", "mnf", "harmonic"):
         assert any(ev.kind == "close" for ev in written)

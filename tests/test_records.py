@@ -2,9 +2,11 @@
 
 Every record is immutable and slotted, built the same way by keyword and by
 position, hashable and picklable.  The cold records are frozen slotted
-dataclasses; ``Decision`` and ``Event``, built once per arrival or per event
-row, are named tuples.  ``ArrivalView`` is no record: the engine updates one
-view in place for every arrival of a run (pinned in ``test_engine``).
+dataclasses; ``Event``, built once per event row, and ``Decision``, the
+named form of a strategy's decision (the built-in strategies return plain
+triples), are named tuples.  ``ArrivalView`` is no record: the engine
+updates one view in place for every arrival of a run (pinned in
+``test_engine``).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from rentsim import (
     CapacityConfig,
     Decision,
     Job,
+    JobSequence,
     SequenceStats,
     ServerRecord,
     UniformParams,
@@ -112,7 +115,7 @@ def test_job_columns_raise_the_first_bad_rows_message(bad, message):
     rows = [(1, 3, 0, 5), bad, (3, 0, -1, -2)]
     ids, sizes, arrivals, departures = (list(col) for col in zip(*rows))
     with pytest.raises(ValueError) as error:
-        Job.from_columns(ids, sizes, arrivals, departures)
+        JobSequence.from_columns(ids, sizes, arrivals, departures, CapacityConfig(10))
     assert str(error.value) == message
 
 
