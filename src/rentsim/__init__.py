@@ -14,7 +14,6 @@ from .core import (
 )
 from .engine import (
     ArrivalView,
-    Decision,
     InfeasiblePlacementError,
     RunResult,
     simulate,

@@ -116,7 +116,7 @@ def _lower_bounds(stats: SequenceStats) -> tuple[int, Fraction, Fraction]:
     return stats.span, stats.util, max(Fraction(stats.span), stats.util)
 
 
-def brute_force_opt(seq: JobSequence, limit: int = ORACLE_DEFAULT_LIMIT) -> int:
+def brute_force_opt(seq: JobSequence) -> int:
     """Exact optimal rental cost by exhausting set partitions of the jobs.
 
     A group of jobs is feasible if its resident size never exceeds the
@@ -124,14 +124,15 @@ def brute_force_opt(seq: JobSequence, limit: int = ORACLE_DEFAULT_LIMIT) -> int:
     emptied server is released, and re-renting costs the same as opening
     a fresh server).  The optimum is the cheapest feasible partition.
 
-    Partition counts grow as Bell numbers, hence the instance size limit.
+    Partition counts grow as Bell numbers, hence the instance size limit,
+    ``ORACLE_DEFAULT_LIMIT`` jobs.
     """
-    jobs = list(seq.jobs)
+    jobs = list(zip(seq.arrivals, seq.departures, seq.sizes))  # first_overload's rows
     n = len(jobs)
     if n == 0:
         raise ValueError("empty sequence")
-    if n > limit:
-        raise ValueError(f"instance too large for oracle: {n} jobs > limit {limit}")
+    if n > ORACLE_DEFAULT_LIMIT:
+        raise ValueError(f"instance too large for oracle: {n} jobs > limit {ORACLE_DEFAULT_LIMIT}")
     e = seq.capacity.e
 
     best: int | None = None
@@ -140,10 +141,7 @@ def brute_force_opt(seq: JobSequence, limit: int = ORACLE_DEFAULT_LIMIT) -> int:
     def walk(i: int) -> None:
         nonlocal best
         if i == n:
-            cost = sum(
-                union_measure((j.arrival, j.departure) for j in group)
-                for group in groups
-            )
+            cost = sum(union_measure(row[:2] for row in group) for group in groups)
             if best is None or cost < best:
                 best = cost
             return
@@ -269,10 +267,10 @@ def check_mtf_bound(result: RunResult, stats: SequenceStats) -> BoundEntry:
     fixed = 3 * a * stats.delta * e
     satisfied = all(cost * scale <= 6 * a * w + (end - start) * scale + fixed
                     for (start, end), w, cost in zip(segments, seg_work, seg_cost))
-    span = sum(end - start for start, end in segments)
+    formula = 6 * a * sum(work) + stats.span * scale + fixed * len(segments)
     return BoundEntry(
         name="mtf_guarantee",
-        formula_value=Fraction(6 * a * sum(work) + span * scale + fixed * len(segments), scale),
+        formula_value=Fraction(formula, scale),
         cost=Fraction(result.total_cost),
         satisfied=satisfied,
     )

@@ -16,10 +16,11 @@ Conventions used throughout the package:
   from them on read, never stored, so it cannot disagree with its jobs.
 
 A sequence is four int columns, which its timeline (four more columns, not
-one tuple per event), statistics, CSV rows and bound checks read; its
-:class:`Job` records, like a trace's server records, are built only when
-read, in C by ``_build_slotted``, which stores whole columns through the
-slot descriptors.  ``validate_trace`` does per
+one tuple per event), statistics, CSV rows, trace records, validator and
+bound checks read; a :class:`Job` is built only from input, to check a row.
+A trace's server records are built only when read, in C by
+``_build_slotted``, which stores whole columns through the slot
+descriptors.  ``validate_trace`` does per
 server only the work that can find a violation: a one-job server is not
 sorted, and the running load sum runs only when the members' sizes add up
 past E.  Both readers take their lines from one source, ``text_lines``,
@@ -121,7 +122,7 @@ class JobSequence:
     """Input sequence: four job columns, sorted by (arrival, input position).
 
     The stable sort serves jobs sharing an arrival step in the order they
-    were supplied, so runs reproduce; :attr:`jobs` builds records when read.
+    were supplied, so runs reproduce.
     """
 
     ids: tuple[int, ...]
@@ -162,12 +163,6 @@ class JobSequence:
         return seq
 
     @cached_property
-    def jobs(self) -> tuple[Job, ...]:
-        """The :class:`Job` records, in sequence order, built in C on first read."""
-        return tuple(_build_slotted(Job, len(self), self.ids, self.sizes, self.arrivals,
-                                    self.departures))
-
-    @cached_property
     def timeline(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
                                 tuple[bool, ...]]:
         """Columns ``(t, job_id, size, arriving)`` of every departure and arrival, in time order.
@@ -187,9 +182,6 @@ class JobSequence:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.jobs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,17 +231,18 @@ def union_measure(intervals: Iterable[tuple[int, int]]) -> int:
     return sum(end - start for start, end in merge_intervals(intervals))
 
 
-def first_overload(jobs: Iterable[Job], e: int) -> tuple[int, int] | None:
-    """The first step at which the jobs' total active size exceeds ``e``, and that load.
+def first_overload(rows: Iterable[tuple[int, int, int]], e: int) -> tuple[int, int] | None:
+    """The first step at which the total active size exceeds ``e``, and that load.
 
-    A running sum over the steps' size changes, O(k log k) for k jobs.  The
-    load rises only at arrivals, so the step found is an arrival step.  None
-    when the load stays within ``e``.
+    Each row is a job's ``(arrival, departure, size)``.  A running sum over
+    the steps' size changes, O(k log k) for k rows.  The load rises only at
+    arrivals, so the step found is an arrival step.  None when the load
+    stays within ``e``.
     """
     change: dict[int, int] = {}
-    for job in jobs:
-        change[job.arrival] = change.get(job.arrival, 0) + job.size
-        change[job.departure] = change.get(job.departure, 0) - job.size
+    for arrival, departure, size in rows:
+        change[arrival] = change.get(arrival, 0) + size
+        change[departure] = change.get(departure, 0) - size
     load = 0
     for t in sorted(change):
         load += change[t]
@@ -344,23 +337,26 @@ class PlacementTrace:
         last job's departure; its jobs are listed in placement order.  Jobs
         the sequence does not have are skipped.  Built on first read.
         """
-        jobs_by_id = {job.id: job for job in self.sequence.jobs}
+        seq = self.sequence
+        arrival_of = dict(zip(seq.ids, seq.arrivals))
+        departure_of = dict(zip(seq.ids, seq.departures))
         opened: dict[int, int] = {}
         released: dict[int, int] = {}
         placed: dict[int, list[int]] = {}
         for jid, sid in self.assignments.items():
-            if (job := jobs_by_id.get(jid)) is None:
+            if (arrival := arrival_of.get(jid)) is None:
                 continue
+            departure = departure_of[jid]
             if sid in placed:
                 placed[sid].append(jid)
-                if job.arrival < opened[sid]:
-                    opened[sid] = job.arrival
-                if job.departure > released[sid]:
-                    released[sid] = job.departure
+                if arrival < opened[sid]:
+                    opened[sid] = arrival
+                if departure > released[sid]:
+                    released[sid] = departure
             else:
                 placed[sid] = [jid]
-                opened[sid] = job.arrival
-                released[sid] = job.departure
+                opened[sid] = arrival
+                released[sid] = departure
         ids = sorted(placed)
         return tuple(_build_slotted(
             ServerRecord, len(ids), ids, map(opened.__getitem__, ids),
@@ -410,45 +406,46 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
     violations: list[Violation] = []
     seq = trace.sequence
     e = seq.capacity.e
-    jobs_by_id = {job.id: job for job in seq.jobs}
+    ids, sizes, arrivals, departures = seq.ids, seq.sizes, seq.arrivals, seq.departures
+    servers = trace.servers  # first, so the dicts that derive it are freed before the index
+    index = dict(zip(ids, range(len(ids))))  # job id -> position in the columns
     assignments = trace.assignments
 
     for jid, sid in assignments.items():
-        if jid not in jobs_by_id:
+        if jid not in index:
             violations.append(Violation("unknown-job-in-server", job_id=jid, server_id=sid))
-    for job in seq.jobs:
-        if job.id not in assignments:
-            violations.append(Violation("job-not-assigned", job_id=job.id))
+    for jid in ids:
+        if jid not in assignments:
+            violations.append(Violation("job-not-assigned", job_id=jid))
 
-    get_arrival, get_size = attrgetter("arrival"), attrgetter("size")
-    for srv in trace.servers:
-        members = list(map(jobs_by_id.__getitem__, srv.jobs))
+    for srv in servers:
+        members = list(map(index.__getitem__, srv.jobs))
         if len(members) > 1:
             # in arrival order, a job arriving once every earlier job has
             # departed lands in a server that was empty (departures precede
             # arrivals within a step) and so should have been released
-            members.sort(key=get_arrival)
-            latest_departure = members[0].departure
-            for job in members[1:]:
-                if job.arrival >= latest_departure:
-                    violations.append(Violation("server-empty-before-release", job.arrival,
-                                                job.id, srv.id, f"empty since {latest_departure}"))
+            members.sort(key=arrivals.__getitem__)
+            latest_departure = departures[members[0]]
+            for i in members[1:]:
+                if arrivals[i] >= latest_departure:
+                    violations.append(Violation("server-empty-before-release", arrivals[i],
+                                                ids[i], srv.id, f"empty since {latest_departure}"))
                     break
-                latest_departure = max(latest_departure, job.departure)
+                latest_departure = max(latest_departure, departures[i])
         # a job arriving after the close went into a closed server (receiving
         # a job and being closed in one step is allowed)
         if srv.closed_at is not None:
-            for job in members:
-                if job.arrival > srv.closed_at:
-                    violations.append(Violation("placement-after-close", job.arrival, job.id,
+            for i in members:
+                if arrivals[i] > srv.closed_at:
+                    violations.append(Violation("placement-after-close", arrivals[i], ids[i],
                                                 srv.id, f"closed at {srv.closed_at}"))
         # the load can pass E only if the members' sizes add up past it
-        if (sum(map(get_size, members)) > e
-                and (overload := first_overload(members, e)) is not None):
+        if (sum(map(sizes.__getitem__, members)) > e and (overload := first_overload(
+                [(arrivals[i], departures[i], sizes[i]) for i in members], e)) is not None):
             violations.append(Violation("capacity-exceeded", time=overload[0], server_id=srv.id,
                                         detail=f"load {overload[1]} > {e}"))
 
-    servers_by_id = {srv.id: srv for srv in trace.servers}
+    servers_by_id = {srv.id: srv for srv in servers}
     for sid, t in trace.closed_at.items():
         srv = servers_by_id.get(sid)
         if srv is None or not srv.opened_at <= t < srv.released_at:
@@ -478,12 +475,12 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
             step = srv.released_at if kind == "release" else srv.closed_at
         else:
             ref = job_id
-            job = jobs_by_id.get(ref)
-            if job is None:
+            i = index.get(ref)
+            if i is None:
                 violations.append(
                     Violation("unknown-job-in-log", time=t, job_id=ref, detail=kind))
                 continue
-            step = job.departure if kind == "depart" else job.arrival
+            step = departures[i] if kind == "depart" else arrivals[i]
         seen = logged[kind]
         if ref in seen:
             violations.append(Violation("event-repeated", time=t, job_id=job_id,
@@ -500,8 +497,8 @@ def validate_trace(trace: PlacementTrace) -> list[Violation]:
                 Violation("depart-from-wrong-server", time=t, job_id=ref,
                           server_id=server_id, detail=f"placed in {placed_in}"))
     for kind in ("arrive", "place", "depart"):
-        if len(logged[kind]) != len(jobs_by_id):
-            for jid in sorted(jobs_by_id.keys() - logged[kind]):
+        if len(logged[kind]) != len(index):
+            for jid in sorted(index.keys() - logged[kind]):
                 violations.append(Violation("event-missing", job_id=jid, detail=kind))
     if len(logged["release"]) != len(servers_by_id):
         for sid in sorted(servers_by_id.keys() - logged["release"]):

@@ -28,10 +28,11 @@ object per server, and a dict of the closed servers' close steps.  Sizes
 are at least 1, so a server is empty exactly when its level is 0; every id a
 strategy names is checked against the placeable servers, never by list
 bounds.  The cost is a running sum: each opening subtracts its step and each
-release adds its step.  A decision is unpacked once, by position, so it may
-be a :class:`Decision` or a plain triple; events are named tuples built by
-``tuple.__new__`` in C, read by unpacking in ``validate_trace`` and by kind
-first in :func:`trace_from_events`; a server in a view is a plain tuple.
+release adds its step.  A decision is a ``(place_in, close, tag)`` triple,
+unpacked once, by position, so any three-item sequence serves; events are
+named tuples built by ``tuple.__new__`` in C, read by unpacking in
+``validate_trace`` and by kind first in :func:`trace_from_events`; a server
+in a view is a plain tuple.
 The trace is the run's assignments (in placement order), its closes and its
 events; the trace derives its ``ServerRecord``s on first read from the
 assignments and the jobs' times, so a caller that reads only the cost never
@@ -51,13 +52,12 @@ import csv
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Hashable, Iterable, NamedTuple, Protocol
+from typing import Iterable, Protocol
 
 from .core import EVENT_KINDS, Event, JobSequence, PlacementTrace, text_lines
 
 __all__ = [
     "ArrivalView",
-    "Decision",
     "RunResult",
     "InfeasiblePlacementError",
     "PlacementStrategy",
@@ -86,8 +86,8 @@ class ArrivalView:
 
     ``servers`` is a read-only, live iterable with a length, of plain
     ``(id, level, tag)`` tuples.  ``tag`` is an opaque value owned by the
-    strategy: it is set via :class:`Decision` and echoed back unchanged on
-    every later view.  Strategies use it for stream labels, size classes,
+    strategy: it is set by a decision's third item and echoed back unchanged
+    on every later view.  Strategies use it for stream labels, size classes,
     or recency stamps.  :func:`simulate` updates one view per run in place,
     so a view is valid only while ``place`` runs.
 
@@ -102,23 +102,16 @@ class ArrivalView:
         self.servers = servers
 
 
-class Decision(NamedTuple):
-    """Strategy output: place into an open server, or open a new one.
-
-    ``place_in`` of ``None`` means open a new server.  ``close`` lists
-    servers the strategy abandons (it will never place into them again);
-    the engine records the close but keeps renting them until released.
-    ``tag`` is stored on the receiving server and echoed in later views.
-    A strategy may also return the plain tuple ``(place_in, close, tag)``.
-    """
-
-    place_in: int | None = None
-    close: tuple[int, ...] = ()
-    tag: Hashable = None
-
-
 class PlacementStrategy(Protocol):
-    """Interface every placement strategy implements."""
+    """Interface every placement strategy implements.
+
+    ``place`` answers each arrival with a ``(place_in, close, tag)`` triple:
+    ``place_in`` is the open server to place into, or ``None`` to open a new
+    one; ``close`` lists servers the strategy abandons (it will never place
+    into them again), which the engine records but keeps renting until
+    released; ``tag`` is stored on the receiving server and echoed in later
+    views, except that ``None`` leaves an open server's tag as it was.
+    """
 
     name: str
 
@@ -126,13 +119,13 @@ class PlacementStrategy(Protocol):
 
 
 class InfeasiblePlacementError(Exception):
-    """A strategy returned a decision the engine cannot apply, kept as a :class:`Decision`."""
+    """A strategy returned a decision the engine cannot apply, kept as a plain triple."""
 
     def __init__(self, message: str, *, time: int, job_id: int, decision: tuple):
         super().__init__(f"infeasible placement: {message}")
         self.time = time
         self.job_id = job_id
-        self.decision = Decision._make(decision)
+        self.decision = tuple(decision)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ no product reaches the next lane), read out as little-endian bytes on any host.
 
 The adversarial generator is adaptive: it must see how the target
 strategy packs a phase before deciding which items depart early, so it
-co-simulates the target on each phase's arrivals.
+co-simulates the target on the phases' arrivals, in one run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .core import CapacityConfig, Job, JobSequence
+from .core import CapacityConfig, JobSequence
 from .engine import simulate
 from .strategies import build_strategy
 
@@ -205,7 +205,9 @@ def gen_adversarial(params: AdversaryParams) -> tuple[JobSequence, Fraction]:
     time delta every item departs except the first-placed one in each of
     the target's servers, and those survivors depart at phase time
     mu*delta.  Phases are time-disjoint, so by each phase start the target
-    has released everything.
+    has released everything, and one run over every phase's arrivals, each
+    item departing at its phase's end, packs each phase as a run over that
+    phase alone would.
 
     The offline packing puts the survivors tightly into full servers for
     mu*delta and the early leavers tightly into full servers for delta;
@@ -216,28 +218,22 @@ def gen_adversarial(params: AdversaryParams) -> tuple[JobSequence, Fraction]:
     per_phase = int(1 / eps**2)
     size = int(eps * params.e)
     capacity = CapacityConfig(params.e)
-
-    all_jobs: list[Job] = []
-    offline_cost = Fraction(0)
-    jid = 1
-    for phase in range(params.phases):
-        start = phase * mu * delta
-        probe_jobs = [
-            Job(jid + i, size, start, start + mu * delta) for i in range(per_phase)
-        ]
-        target = build_strategy(params.target, params.e)
-        probe = simulate(
-            target, JobSequence(probe_jobs, capacity), record_events=False
-        )
-        survivors: dict[int, int] = {}  # server id -> first job placed there
-        for job in probe_jobs:
-            survivors.setdefault(probe.trace.assignments[job.id], job.id)
-        keep = set(survivors.values())
-        for job in probe_jobs:
-            departure = start + (mu * delta if job.id in keep else delta)
-            all_jobs.append(Job(job.id, size, start, departure))
-        opened = len(survivors)
-        offline_cost += math.ceil(opened * eps) * mu * delta
-        offline_cost += math.ceil((per_phase - opened) * eps) * delta
-        jid += per_phase
-    return JobSequence(all_jobs, capacity), offline_cost
+    count = per_phase * params.phases
+    ids = range(1, count + 1)  # phase by phase
+    sizes = [size] * count
+    starts = [phase * mu * delta for phase in range(params.phases) for _ in range(per_phase)]
+    probe = simulate(build_strategy(params.target, params.e), JobSequence.from_columns(
+        ids, sizes, starts, [start + mu * delta for start in starts], capacity),
+        record_events=False)
+    survivors: dict[int, int] = {}  # server id -> first job placed there
+    for jid, sid in probe.trace.assignments.items():
+        survivors.setdefault(sid, jid)
+    keep = set(survivors.values())
+    departures = [start + (mu * delta if jid in keep else delta)
+                  for jid, start in zip(ids, starts)]
+    opened = [0] * params.phases  # the target's servers, per phase
+    for jid in keep:
+        opened[(jid - 1) // per_phase] += 1
+    offline_cost = sum((math.ceil(k * eps) * mu * delta
+                        + math.ceil((per_phase - k) * eps) * delta for k in opened), Fraction(0))
+    return JobSequence.from_columns(ids, sizes, starts, departures, capacity), offline_cost

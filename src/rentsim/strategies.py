@@ -9,7 +9,9 @@ structurally impossible for it to remember departure times.  A view is
 valid only while ``place`` runs (the engine reuses one view per run); its
 ``servers`` is a read-only, live iterable of ``(id, level, tag)`` tuples
 in opening order, unpacked in the scan.  A decision is a plain ``(place_in,
-close, tag)`` triple; those that take no parameter are built once, shared.
+close, tag)`` triple, the one form the engine reads (its meaning is stated
+on :class:`~rentsim.engine.PlacementStrategy`); those that take no
+parameter are built once, shared.
 
 Size thresholds (Modified Next Fit, Modified First Fit, Harmonic classes)
 are exact: with integer sizes and a rational K each reduces to an integer

@@ -20,7 +20,10 @@ reader that the one-block writer and the column-checked reader in
 per-strategy loop that ``rentsim.run_experiment``'s fold is compared with,
 field for field.  ``reference_sequence_jobs`` is the per-row construction
 that ``rentsim.JobSequence``'s column checks and column sort are compared
-with, message for message and job for job.
+with, message for message and job for job.  ``reference_validate_trace`` is
+the record-based validator, over the ``Job`` records ``jobs_of`` builds from
+a sequence's columns, that the column-reading ``rentsim.validate_trace`` is
+compared with, violation for violation.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import hypothesis.strategies as st
 from rentsim import (
     ArrivalView,
     CapacityConfig,
-    Decision,
     FirstFit,
     InfeasiblePlacementError,
     Job,
@@ -57,6 +59,11 @@ from rentsim.core import (
     union_measure,
 )
 from rentsim.engine import EVENT_HEADER
+
+
+def jobs_of(seq: JobSequence) -> tuple[Job, ...]:
+    """The sequence's rows as ``Job`` records, in sequence order."""
+    return tuple(map(Job, seq.ids, seq.sizes, seq.arrivals, seq.departures))
 
 
 @st.composite
@@ -117,10 +124,10 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
     the trace derives from its assignments and closes.
     """
     e = seq.capacity.e
-    position = {job.id: idx for idx, job in enumerate(seq.jobs)}
+    position = {job.id: idx for idx, job in enumerate(jobs_of(seq))}
     arrivals_at: dict[int, list[Job]] = {}
     departures_at: dict[int, list[Job]] = {}
-    for job in seq.jobs:
+    for job in jobs_of(seq):
         arrivals_at.setdefault(job.arrival, []).append(job)
         departures_at.setdefault(job.departure, []).append(job)
 
@@ -158,7 +165,7 @@ def reference_simulate(strategy, seq: JobSequence, *, record_events: bool = True
                 ),
             )
             decision = strategy.place(view)
-            place_in, close, tag = decision  # by position: a Decision or a plain triple
+            place_in, close, tag = decision  # by position: any three-item sequence
             for cid in close:
                 target = live.get(cid)
                 if target is None or target.closed_at is not None:
@@ -219,7 +226,7 @@ def with_departures_after(seq: JobSequence, tau: int, departure) -> JobSequence:
     """``seq`` with each departure after step ``tau`` replaced by
     ``departure(job)``, which must also lie after ``tau``."""
     jobs = []
-    for job in seq.jobs:
+    for job in jobs_of(seq):
         moved = job.departure > tau
         jobs.append(Job(job.id, job.size, job.arrival, departure(job) if moved else job.departure))
         assert not moved or jobs[-1].departure > tau
@@ -229,7 +236,7 @@ def with_departures_after(seq: JobSequence, tau: int, departure) -> JobSequence:
 def decided_by(result, tau: int) -> tuple[dict[int, int], dict[int, int]]:
     """What a run had decided by step ``tau``: the server of each job arriving
     at or before ``tau``, and each close at or before ``tau``."""
-    arrival = {job.id: job.arrival for job in result.trace.sequence.jobs}
+    arrival = {job.id: job.arrival for job in jobs_of(result.trace.sequence)}
     return ({jid: sid for jid, sid in result.trace.assignments.items() if arrival[jid] <= tau},
             {sid: t for sid, t in result.trace.closed_at.items() if t <= tau})
 
@@ -247,14 +254,14 @@ class PeekingFirstFit:
     def __init__(self, seq: JobSequence, limit: int):
         self.first_fit = FirstFit(seq.capacity.e)
         self.limit = limit
-        jobs = {job.id: job for job in seq.jobs}
+        jobs = {job.id: job for job in jobs_of(seq)}
         _, ids, _, arriving = seq.timeline
         self.arrivals = iter([jobs[jid] for jid, arrives in zip(ids, arriving) if arrives])
 
     def place(self, view):
         job = next(self.arrivals)
         if job.departure - job.arrival > self.limit:
-            return Decision()
+            return None, (), None
         return self.first_fit.place(view)
 
 
@@ -270,7 +277,7 @@ def reference_run_experiment(spec) -> list[AggregateRow]:
                                                       seed=spec.seed_base + i))
                             for i in range(spec.trials)]
                     utils = [Fraction(sum(job.size * (job.departure - job.arrival)
-                                          for job in seq.jobs), e) for seq in seqs]
+                                          for job in jobs_of(seq)), e) for seq in seqs]
                     for name in spec.strategies:
                         costs = [reference_simulate(build_strategy(name, e, mu=mu), seq,
                                                     record_events=False)[0].total_cost
@@ -323,12 +330,12 @@ def reference_draw(state: int, bounds) -> tuple[list[int], int]:
 def reference_compute_stats(seq: JobSequence) -> SequenceStats:
     """Differential oracle for ``compute_stats``: one generator pass per field."""
     e = seq.capacity.e
-    lengths = [job.departure - job.arrival for job in seq.jobs]
+    lengths = [job.departure - job.arrival for job in jobs_of(seq)]
     delta = min(lengths)
     return SequenceStats(
-        span=union_measure((job.arrival, job.departure) for job in seq.jobs),
-        util=Fraction(sum(job.size * length for job, length in zip(seq.jobs, lengths)), e),
-        total_size=Fraction(sum(job.size for job in seq.jobs), e),
+        span=union_measure((job.arrival, job.departure) for job in jobs_of(seq)),
+        util=Fraction(sum(job.size * length for job, length in zip(jobs_of(seq), lengths)), e),
+        total_size=Fraction(sum(job.size for job in jobs_of(seq)), e),
         total_length=sum(lengths),
         delta=delta,
         mu=Fraction(max(lengths), delta),
@@ -343,8 +350,8 @@ def reference_check_mtf_bound(result, stats) -> BoundEntry:
     mu1 = stats.mu + 1
     satisfied = True
     total_formula = Fraction(0)
-    for start, end in merge_intervals((j.arrival, j.departure) for j in seq.jobs):
-        seg_jobs = [j for j in seq.jobs if start <= j.arrival < end]
+    for start, end in merge_intervals((j.arrival, j.departure) for j in jobs_of(seq)):
+        seg_jobs = [j for j in jobs_of(seq) if start <= j.arrival < end]
         seg_util = Fraction(sum(j.size * (j.departure - j.arrival) for j in seg_jobs), e)
         seg_span = end - start
         seg_cost = sum(
@@ -411,7 +418,7 @@ def reference_capacity_violations(trace) -> list[Violation]:
     arrival step of a server, sum the sizes of its jobs active then.  Same
     ``capacity-exceeded`` violations, in the same order."""
     e = trace.sequence.capacity.e
-    jobs_by_id = {job.id: job for job in trace.sequence.jobs}
+    jobs_by_id = {job.id: job for job in jobs_of(trace.sequence)}
     violations = []
     for srv in trace.servers:
         members = [jobs_by_id[jid] for jid in srv.jobs if jid in jobs_by_id]
@@ -424,12 +431,117 @@ def reference_capacity_violations(trace) -> list[Violation]:
     return violations
 
 
+def _record_overload(jobs, e: int) -> tuple[int, int] | None:
+    """The first step at which the jobs' total active size exceeds ``e``, and that load."""
+    change: dict[int, int] = {}
+    for job in jobs:
+        change[job.arrival] = change.get(job.arrival, 0) + job.size
+        change[job.departure] = change.get(job.departure, 0) - job.size
+    load = 0
+    for t in sorted(change):
+        load += change[t]
+        if load > e:
+            return t, load
+    return None
+
+
+def reference_validate_trace(trace) -> list[Violation]:
+    """Differential oracle for ``validate_trace``: the same checks, in the same
+    order, over ``Job`` records and ``ServerRecord`` attributes."""
+    violations: list[Violation] = []
+    seq = trace.sequence
+    e = seq.capacity.e
+    jobs = jobs_of(seq)
+    jobs_by_id = {job.id: job for job in jobs}
+    assignments = trace.assignments
+
+    for jid, sid in assignments.items():
+        if jid not in jobs_by_id:
+            violations.append(Violation("unknown-job-in-server", job_id=jid, server_id=sid))
+    for job in jobs:
+        if job.id not in assignments:
+            violations.append(Violation("job-not-assigned", job_id=job.id))
+
+    for srv in trace.servers:
+        members = [jobs_by_id[jid] for jid in srv.jobs]
+        if len(members) > 1:
+            members.sort(key=lambda job: job.arrival)
+            latest_departure = members[0].departure
+            for job in members[1:]:
+                if job.arrival >= latest_departure:
+                    violations.append(Violation("server-empty-before-release", job.arrival,
+                                                job.id, srv.id, f"empty since {latest_departure}"))
+                    break
+                latest_departure = max(latest_departure, job.departure)
+        if srv.closed_at is not None:
+            for job in members:
+                if job.arrival > srv.closed_at:
+                    violations.append(Violation("placement-after-close", job.arrival, job.id,
+                                                srv.id, f"closed at {srv.closed_at}"))
+        overload = _record_overload(members, e)
+        if overload is not None:
+            violations.append(Violation("capacity-exceeded", time=overload[0], server_id=srv.id,
+                                        detail=f"load {overload[1]} > {e}"))
+
+    servers_by_id = {srv.id: srv for srv in trace.servers}
+    for sid, t in trace.closed_at.items():
+        srv = servers_by_id.get(sid)
+        if srv is None or not srv.opened_at <= t < srv.released_at:
+            violations.append(Violation("close-outside-rental", time=t, server_id=sid))
+
+    if not trace.events:
+        return violations
+    logged: dict[str, set[int]] = {kind: set() for kind in EVENT_KINDS}
+    prev = None
+    for t, kind, job_id, server_id in trace.events:
+        key = (t, EVENT_KINDS[kind][0])
+        if prev is not None and key < prev:
+            violations.append(Violation("event-log-out-of-order", time=t, detail=kind))
+        prev = key
+        if kind in ("release", "close"):
+            ref = server_id
+            srv = servers_by_id.get(ref)
+            if srv is None:
+                violations.append(
+                    Violation("unknown-server-in-log", time=t, server_id=ref, detail=kind))
+                continue
+            step = srv.released_at if kind == "release" else srv.closed_at
+        else:
+            ref = job_id
+            job = jobs_by_id.get(ref)
+            if job is None:
+                violations.append(
+                    Violation("unknown-job-in-log", time=t, job_id=ref, detail=kind))
+                continue
+            step = job.departure if kind == "depart" else job.arrival
+        if ref in logged[kind]:
+            violations.append(Violation("event-repeated", time=t, job_id=job_id,
+                                        server_id=server_id, detail=kind))
+        logged[kind].add(ref)
+        if t != step:
+            where = ("of a server the trace never closed" if step is None
+                     else f"expected at {step}")
+            violations.append(
+                Violation("event-at-wrong-step", time=t, job_id=job_id,
+                          server_id=server_id, detail=f"{kind} {where}"))
+        if kind == "depart" and server_id != (placed_in := assignments.get(ref)):
+            violations.append(
+                Violation("depart-from-wrong-server", time=t, job_id=ref,
+                          server_id=server_id, detail=f"placed in {placed_in}"))
+    for kind in ("arrive", "place", "depart"):
+        for jid in sorted(jobs_by_id.keys() - logged[kind]):
+            violations.append(Violation("event-missing", job_id=jid, detail=kind))
+    for sid in sorted(servers_by_id.keys() - logged["release"]):
+        violations.append(Violation("event-missing", server_id=sid, detail="release"))
+    return violations
+
+
 class ReplayState:
     """Independent occupancy bookkeeping driven by a trace's event log."""
 
     def __init__(self, seq):
         self.e = seq.capacity.e
-        self.jobs = {j.id: j for j in seq.jobs}
+        self.jobs = {j.id: j for j in jobs_of(seq)}
         self.level: dict[int, int] = {}
         self.closed: set[int] = set()
         self.order: list[int] = []  # opening order of currently open servers

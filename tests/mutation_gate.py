@@ -42,6 +42,19 @@ class Mutant(NamedTuple):
     new: str
 
 
+def dropped(kind: str, rest: str = "", indent: int | None = None) -> Mutant:
+    """The mutant in which ``validate_trace`` never reports a ``kind`` violation.
+
+    The append that reports it goes to a throwaway list instead.  ``rest``
+    continues the call's text where ``kind`` has two appends, and ``indent``
+    is the column of ``Violation(`` when the call starts on the next line.
+    """
+    head = "violations.append(" + ("" if indent is None else "\n" + " " * indent)
+    old = f'{head}Violation("{kind}"{rest}'
+    return Mutant(f"validator-drops-{kind}", "core.py", old,
+                  old.replace("violations.append(", "[].append(", 1))
+
+
 MUTANTS = [
     # the bench fold
     Mutant("fold-mean-util-from-first-trial", "bench.py",
@@ -53,10 +66,25 @@ MUTANTS = [
     Mutant("summary-marks-the-worst-row", "bench.py",
            "if key not in cells or r.mean_ratio < cells[key]:",
            "if key not in cells or r.mean_ratio > cells[key]:"),
-    # verdict checks
-    Mutant("validator-drops-event-log-out-of-order", "core.py",
-           'violations.append(Violation("event-log-out-of-order", time=t, detail=kind))',
-           "pass"),
+    # verdict checks: one mutant per violation kind
+    dropped("unknown-job-in-server"),
+    dropped("job-not-assigned"),
+    dropped("server-empty-before-release"),
+    dropped("placement-after-close"),
+    dropped("capacity-exceeded"),
+    dropped("close-outside-rental"),
+    dropped("event-log-out-of-order"),
+    dropped("unknown-server-in-log", indent=20),
+    dropped("unknown-job-in-log", indent=20),
+    dropped("event-repeated"),
+    dropped("event-at-wrong-step", indent=16),
+    dropped("depart-from-wrong-server", indent=16),
+    dropped("event-missing", rest=", job_id=jid"),
+    # the load sum and the server records the validator reads
+    Mutant("first-overload-at-capacity", "core.py", "if load > e:", "if load >= e:"),
+    Mutant("servers-open-at-latest-arrival", "core.py",
+           "if arrival < opened[sid]:", "if arrival > opened[sid]:"),
+    # bound formulas
     Mutant("nf-small-k-cap-doubled", "bounds.py",
            "cap = stats.total_size / (1 - 1 / k)",
            "cap = 2 * stats.total_size / (1 - 1 / k)"),

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+import rentsim.bounds
+
 from rentsim import (
     CapacityConfig,
     Job,
@@ -32,6 +34,7 @@ from helpers import (
     BATTERY_SEED,
     all_strategy_specs,
     job_sequences,
+    jobs_of,
     reference_check_mtf_bound,
 )
 
@@ -75,18 +78,19 @@ def test_oracle_separates_full_size_overlap():
     assert brute_force_opt(seq) == 11  # 5 + 6, no sharing possible
 
 
-def test_oracle_rejects_large_instances():
+def test_oracle_rejects_large_instances(monkeypatch):
     jobs = [Job(i, 1, 0, 1) for i in range(1, 10)]
     seq = JobSequence(jobs, CapacityConfig(10))
     with pytest.raises(ValueError, match="too large"):
         brute_force_opt(seq)
-    assert brute_force_opt(seq, limit=9) == 1  # all nine fit one server
+    monkeypatch.setattr(rentsim.bounds, "ORACLE_DEFAULT_LIMIT", 9)
+    assert brute_force_opt(seq) == 1  # all nine fit one server
 
 
 @given(job_sequences(max_jobs=6), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_oracle_is_permutation_invariant(seq, rng):
-    shuffled = list(seq.jobs)
+    shuffled = list(jobs_of(seq))
     rng.shuffle(shuffled)
     assert brute_force_opt(JobSequence(shuffled, seq.capacity)) == brute_force_opt(seq)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 from fractions import Fraction
 
@@ -14,8 +15,10 @@ from rentsim import (
     JobSequence,
     PlacementTrace,
     ServerRecord,
+    UniformParams,
     build_strategy,
     compute_stats,
+    gen_uniform,
     read_sequence_csv,
     simulate,
     validate_trace,
@@ -26,12 +29,15 @@ from rentsim.engine import trace_from_events
 from rentsim.strategies import NextFit
 
 from helpers import (
+    BATTERY_SEED,
     all_strategy_specs,
     job_sequences,
+    jobs_of,
     pointwise_span,
     reference_capacity_violations,
     reference_compute_stats,
     reference_sequence_jobs,
+    reference_validate_trace,
 )
 
 
@@ -102,7 +108,7 @@ def test_column_built_and_job_built_sequences_agree(rows_e):
         return
     by_columns = JobSequence.from_columns(*columns, cap)
     by_jobs = JobSequence([Job(*row) for row in rows], cap)
-    assert by_columns.jobs == by_jobs.jobs == expected
+    assert jobs_of(by_columns) == jobs_of(by_jobs) == expected
     assert by_columns.timeline == by_jobs.timeline
     assert by_columns == by_jobs and hash(by_columns) == hash(by_jobs)
     assert repr(by_columns) == repr(by_jobs)
@@ -111,7 +117,7 @@ def test_column_built_and_job_built_sequences_agree(rows_e):
 def test_sequence_order_is_stable_on_equal_arrivals():
     jobs = [Job(3, 1, 2, 4), Job(1, 1, 0, 4), Job(2, 1, 2, 3)]
     seq = JobSequence(jobs, CapacityConfig(4))
-    assert [j.id for j in seq.jobs] == [1, 3, 2]
+    assert [j.id for j in jobs_of(seq)] == [1, 3, 2]
 
 
 def test_stats_on_three_job_instance(three_job_instance):
@@ -138,7 +144,7 @@ def test_stats_disjoint_jobs_use_union_span():
         [Job(1, 1, 0, 2), Job(2, 1, 10, 12)], CapacityConfig(10)
     )
     stats = compute_stats(seq)
-    assert stats.span == 4 == pointwise_span(seq.jobs)
+    assert stats.span == 4 == pointwise_span(jobs_of(seq))
     assert stats.util == Fraction(4, 10)
 
 
@@ -158,19 +164,19 @@ def test_union_measure_handles_nesting_and_touching():
 
 @given(job_sequences(max_jobs=30, max_time=40))
 def test_merged_segments_are_sorted_apart_and_cover_the_jobs(seq):
-    intervals = [(job.arrival, job.departure) for job in seq.jobs]
+    intervals = [(job.arrival, job.departure) for job in jobs_of(seq)]
     segments = merge_intervals(intervals)
     assert all(start < end for start, end in segments)
     # sorted, disjoint and not touching: each ends before the next starts
     assert all(a_end < b_start for (_, a_end), (b_start, _) in zip(segments, segments[1:]))
     assert all(sum(start <= arrival and departure <= end for start, end in segments) == 1
                for arrival, departure in intervals)
-    assert union_measure(intervals) == pointwise_span(seq.jobs)
+    assert union_measure(intervals) == pointwise_span(jobs_of(seq))
 
 
 @given(job_sequences())
 def test_stats_match_pointwise_span_oracle(seq):
-    assert compute_stats(seq).span == pointwise_span(seq.jobs)
+    assert compute_stats(seq).span == pointwise_span(jobs_of(seq))
 
 
 @given(job_sequences(max_jobs=30))
@@ -183,7 +189,7 @@ def test_stats_match_the_per_job_oracle(seq):
 
 @given(job_sequences(), st.randoms(use_true_random=False))
 def test_stats_are_permutation_invariant(seq, rng):
-    shuffled = list(seq.jobs)
+    shuffled = list(jobs_of(seq))
     rng.shuffle(shuffled)
     again = compute_stats(JobSequence(shuffled, seq.capacity))
     assert again == compute_stats(seq)
@@ -193,7 +199,7 @@ def test_stats_are_permutation_invariant(seq, rng):
 def test_stats_invariant_under_common_scaling(seq, factor):
     stats = compute_stats(seq)
     scaled = JobSequence(
-        [Job(j.id, j.size * factor, j.arrival, j.departure) for j in seq.jobs],
+        [Job(j.id, j.size * factor, j.arrival, j.departure) for j in jobs_of(seq)],
         CapacityConfig(seq.capacity.e * factor),
     )
     assert compute_stats(scaled) == stats
@@ -249,7 +255,7 @@ def test_capacity_sweep_matches_the_per_arrival_scan(seq, spec, data):
     # overfull: the jobs spread over k servers at random, whatever their sizes
     k = data.draw(st.integers(1, len(seq)))
     groups: dict[int, list[Job]] = {}
-    for job in seq.jobs:
+    for job in jobs_of(seq):
         groups.setdefault(data.draw(st.integers(1, k)), []).append(job)
     overfull = PlacementTrace(
         seq, {job.id: sid for sid, jobs in sorted(groups.items()) for job in jobs}, {})
@@ -386,6 +392,81 @@ def test_every_one_row_tamper_of_a_log_is_a_violation(seq, mu):
         assert validate_trace(trace_from_events(seq, events)) == [], spec
         for tamper, log in _tampered_logs(events):
             assert validate_trace(trace_from_events(seq, log)), (spec, tamper, log)
+
+
+def _edited_rows(events, rng, count):
+    """``events`` with ``count`` edits, each a row deleted, two rows swapped,
+    a row moved by one step, a row repeated, or a row's id raised by one;
+    ``rng.randrange`` picks them."""
+    log = list(events)
+    pick = rng.randrange
+    for _ in range(count):
+        if not log:
+            break
+        i, edit = pick(len(log)), pick(5)
+        ev = log[i]
+        if edit == 0:
+            del log[i]
+        elif edit == 1:
+            j = pick(len(log))
+            log[i], log[j] = log[j], ev
+        elif edit == 2:
+            log[i] = ev._replace(t=ev.t + (1 if pick(2) else -1))
+        elif edit == 3:
+            log.insert(i, ev)
+        elif ev.job_id is not None:
+            log[i] = ev._replace(job_id=ev.job_id + 1)
+        else:
+            log[i] = ev._replace(server_id=ev.server_id + 1)
+    return tuple(log)
+
+
+@st.composite
+def tampered_traces(draw):
+    """A trace over a random sequence (ties on arrival are common) that the
+    validator can flag in every way: a random assignment of some jobs, in
+    shuffled order, plus jobs the sequence does not have, and closes of
+    servers in and out of their rentals or never rented; or the trace a
+    strategy's log replays to.  Either way its log is none, the run's own,
+    or the run's with rows deleted, swapped, moved by one step, repeated or
+    given the next id."""
+    seq = draw(job_sequences(max_jobs=10, max_time=6, max_length=4))
+    spec = draw(st.sampled_from(all_strategy_specs(draw(st.integers(1, 4)))))
+    events = simulate(build_strategy(spec, seq.capacity.e), seq).trace.events
+    log = draw(st.sampled_from([(), events, None]))
+    if log is None:
+        log = _edited_rows(events, draw(st.randoms(use_true_random=False)),
+                           draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        return trace_from_events(seq, log)
+    k = draw(st.integers(1, len(seq)))
+    jobs = draw(st.permutations([*seq.ids, len(seq) + 1, len(seq) + 2]))
+    assigned = jobs[:draw(st.integers(0, len(jobs)))]
+    assignments = {jid: draw(st.integers(1, k)) for jid in assigned}
+    closes = draw(st.dictionaries(st.integers(1, k + 1), st.integers(0, 12), max_size=3))
+    return PlacementTrace(seq, assignments, closes, log)
+
+
+@settings(deadline=None, max_examples=300)
+@given(tampered_traces())
+def test_validator_matches_the_record_based_reference(trace):
+    assert [str(v) for v in validate_trace(trace)] == \
+        [str(v) for v in reference_validate_trace(trace)]
+
+
+@pytest.mark.parametrize("mu", [2, 10, 100])
+@pytest.mark.parametrize("i", [0, 1])
+def test_validator_matches_the_record_based_reference_on_battery_seeds(mu, i):
+    seed = BATTERY_SEED + mu * 10_000 + i
+    seq = gen_uniform(UniformParams(n=1000, e=1000, t=1000, mu=mu, seed=seed))
+    rng = random.Random(seed)
+    for spec in all_strategy_specs(mu):
+        trace = simulate(build_strategy(spec, seq.capacity.e), seq).trace
+        for events in (trace.events, _edited_rows(trace.events, rng, 3)):
+            for replayed in (trace_from_events(seq, events),
+                             dataclasses.replace(trace, events=events)):
+                assert [str(v) for v in validate_trace(replayed)] == \
+                    [str(v) for v in reference_validate_trace(replayed)], spec
 
 
 def test_sequence_csv_round_trip(tmp_path, three_job_instance):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -12,18 +13,22 @@ import pytest
 from hypothesis import example, given
 
 from rentsim import (
+    AdversaryParams,
     ArrivalView,
     CapacityConfig,
-    Decision,
     ExperimentSpec,
     InfeasiblePlacementError,
     Job,
     JobSequence,
     ServerRecord,
     UniformParams,
+    brute_force_opt,
     build_strategy,
+    check_mtf_bound,
     compute_stats,
+    gen_adversarial,
     gen_uniform,
+    read_sequence_csv,
     run_experiment,
     simulate,
     validate_trace,
@@ -40,6 +45,7 @@ from helpers import (
     all_strategy_specs,
     decided_by,
     job_sequences,
+    jobs_of,
     reference_read_event_csv,
     reference_simulate,
     reference_write_event_csv,
@@ -62,7 +68,7 @@ class SpyStrategy:
         self.name = inner.name
         self.views: list[Shown] = []
         self.objects: list[ArrivalView] = []
-        self.decisions: list[Decision] = []
+        self.decisions: list[tuple] = []
 
     def place(self, view):
         self.views.append(Shown(view.size, tuple(view.servers)))
@@ -145,8 +151,8 @@ def test_a_reused_strategy_matches_a_fresh_one(three_job_instance):
 def test_interleaved_runs_of_one_strategy_match_independent_runs(seq_a, seq_b):
     cap = max(seq_a.capacity.e, seq_b.capacity.e)
     strategy = BestFit(cap)
-    seq_a = JobSequence(seq_a.jobs, CapacityConfig(cap))
-    seq_b = JobSequence(seq_b.jobs, CapacityConfig(cap))
+    seq_a = JobSequence(jobs_of(seq_a), CapacityConfig(cap))
+    seq_b = JobSequence(jobs_of(seq_b), CapacityConfig(cap))
     first = simulate(strategy, seq_a)
     second = simulate(strategy, seq_b)
     assert first == simulate(BestFit(cap), seq_a)
@@ -351,15 +357,15 @@ def test_simulate_matches_reference_loop_on_battery_seeds(mu, i):
 @given(job_sequences(max_jobs=24, max_time=10), st.integers(1, 6))
 def test_strategies_run_back_to_back_share_one_timeline(seq, mu):
     e = seq.capacity.e
-    shared = JobSequence(seq.jobs, seq.capacity)
+    shared = JobSequence(jobs_of(seq), seq.capacity)
     for spec in all_strategy_specs(mu):
         result = simulate(build_strategy(spec, e), shared)
-        fresh = JobSequence(seq.jobs, seq.capacity)
+        fresh = JobSequence(jobs_of(seq), seq.capacity)
         assert result == simulate(build_strategy(spec, e), fresh), spec
         assert result == reference_simulate(build_strategy(spec, e), shared)[0], spec
     assert shared.timeline is shared.timeline
     # the cached schedule is no field: equality, hash and repr ignore it
-    untouched = JobSequence(seq.jobs, seq.capacity)
+    untouched = JobSequence(jobs_of(seq), seq.capacity)
     assert "timeline" in vars(shared) and "timeline" not in vars(untouched)
     assert shared == untouched and hash(shared) == hash(untouched)
     assert repr(shared) == repr(untouched)
@@ -368,9 +374,10 @@ def test_strategies_run_back_to_back_share_one_timeline(seq, mu):
 @given(job_sequences(max_jobs=24, max_time=10))
 def test_timeline_is_each_steps_departures_then_arrivals(seq):
     flat = []
-    for t in sorted({job.arrival for job in seq} | {job.departure for job in seq}):
-        flat += [(t, job.id, job.size, False) for job in seq if job.departure == t]
-        flat += [(t, job.id, job.size, True) for job in seq if job.arrival == t]
+    jobs = jobs_of(seq)
+    for t in sorted({job.arrival for job in jobs} | {job.departure for job in jobs}):
+        flat += [(t, job.id, job.size, False) for job in jobs if job.departure == t]
+        flat += [(t, job.id, job.size, True) for job in jobs if job.arrival == t]
     assert tuple(zip(*seq.timeline)) == tuple(flat)
 
 
@@ -425,7 +432,7 @@ def test_records_are_built_on_first_read(monkeypatch, record_events):
         built.clear()
 
 
-def test_the_desk_path_builds_no_job_until_a_trace_is_validated(monkeypatch, tmp_path):
+def test_no_job_is_built_after_input(monkeypatch, tmp_path):
     batches: list[type] = []
     rows: list[int] = []
     build_slotted, post_init = core._build_slotted, Job.__post_init__
@@ -443,19 +450,30 @@ def test_the_desk_path_builds_no_job_until_a_trace_is_validated(monkeypatch, tmp
     p = _SMALL_DESK
     specs = all_strategy_specs(p.mu)
     seq = gen_uniform(p)
+    gen_adversarial(AdversaryParams(Fraction(1, 4), 3, 2, 3, "ff", 16))
     utilization(seq)
     compute_stats(seq)
     write_sequence_csv(seq, tmp_path / "seq.csv")  # what `rentsim generate uniform` does
     for spec in specs:
         for record_events in (False, True):
-            simulate(build_strategy(spec, p.e), seq, record_events=record_events)
+            result = simulate(build_strategy(spec, p.e), seq, record_events=record_events)
+            assert result.trace.servers and validate_trace(result.trace) == [], spec
     run_experiment(ExperimentSpec(strategies=tuple(specs), ns=(p.n,), es=(p.e,), ts=(p.t,),
                                   mus=(p.mu,), trials=2, seed_base=p.seed))
-    assert "jobs" not in vars(seq) and Job not in batches and rows == []
-    result = simulate(build_strategy("mtf", p.e), seq)
-    assert validate_trace(result.trace) == []
-    assert "jobs" in vars(seq) and batches.count(Job) == 1 and rows == []
-    assert seq.jobs == tuple(map(Job, seq.ids, seq.sizes, seq.arrivals, seq.departures))
+    write_event_csv(result.trace.events, tmp_path / "events.csv")
+    replayed = trace_from_events(seq, read_event_csv(tmp_path / "events.csv"))
+    assert validate_trace(replayed) == []
+    mtf = simulate(MoveToFront(p.e), seq)
+    assert check_mtf_bound(mtf, compute_stats(seq)).satisfied
+    tiny = gen_uniform(UniformParams(n=8, e=10, t=8, mu=3, seed=1))
+    assert brute_force_opt(tiny) <= simulate(FirstFit(10), tiny).total_cost
+    assert Job not in batches and rows == []
+    # input is checked row by row, once: reading n rows builds n jobs, and
+    # validating a run over them builds none
+    n_rows = len(seq)
+    seq_read = read_sequence_csv(tmp_path / "seq.csv")
+    assert validate_trace(simulate(FirstFit(p.e), seq_read).trace) == []
+    assert len(rows) == n_rows and sorted(rows) == sorted(seq.ids) and Job not in batches
 
 
 @pytest.mark.parametrize("record_events", [True, False])
@@ -482,7 +500,7 @@ class _BadTarget:
     name = "bad-target"
 
     def place(self, view):
-        return Decision(place_in=999)
+        return 999, (), None
 
 
 class _OverFiller:
@@ -490,15 +508,15 @@ class _OverFiller:
 
     def place(self, view):
         if view.servers:
-            return Decision(place_in=next(iter(view.servers))[0])
-        return Decision(place_in=None)
+            return next(iter(view.servers))[0], (), None
+        return None, (), None
 
 
 class _BadCloser:
     name = "bad-closer"
 
     def place(self, view):
-        return Decision(place_in=None, close=(77,))
+        return None, (77,), None
 
 
 def test_infeasible_decisions_raise():
@@ -526,11 +544,13 @@ class _Scripted:
         return next(self.decisions)
 
 
+_OPEN = (None, (), None)
+
+
 @pytest.mark.parametrize(
     "bad",
-    [Decision(place_in=0), Decision(place_in=-1), Decision(place_in=1),
-     Decision(place_in=2), Decision(place_in=4), Decision(close=(1,)),
-     Decision(close=(0,)), Decision(close=(-1,)), Decision(close=(2,))],
+    [(0, (), None), (-1, (), None), (1, (), None), (2, (), None), (4, (), None),
+     (None, (1,), None), (None, (0,), None), (None, (-1,), None), (None, (2,), None)],
     ids=["place-0", "place-negative", "place-released", "place-closed",
          "place-unopened", "close-released", "close-0", "close-negative",
          "close-closed"],
@@ -544,35 +564,46 @@ def test_decisions_naming_no_placeable_server_raise(bad):
         [Job(1, 6, 0, 2), Job(2, 6, 1, 9), Job(3, 2, 1, 9), Job(4, 2, 3, 9)],
         CapacityConfig(10),
     )
-    script = (Decision(), Decision(), Decision(None, (2,)))
-    assert simulate(_Scripted(*script, Decision(3)), seq).trace.assignments[4] == 3
-    # the plain triple is named as the Decision it stands for
-    for returned in (bad, tuple(bad)):
+    script = (_OPEN, _OPEN, (None, (2,), None))
+    assert simulate(_Scripted(*script, (3, (), None)), seq).trace.assignments[4] == 3
+    # the error keeps the decision returned, as a plain tuple
+    for returned in (bad, list(bad)):
         with pytest.raises(InfeasiblePlacementError) as info:
             simulate(_Scripted(*script, returned), seq)
-        assert (info.value.time, info.value.job_id, info.value.decision) == (3, 4, bad)
-        assert type(info.value.decision) is Decision
+        assert (info.value.time, info.value.job_id) == (3, 4)
+        assert info.value.decision == bad and type(info.value.decision) is tuple
 
 
-class _Named:
-    """Returns the wrapped strategy's decisions as ``Decision`` named tuples."""
+class Placement(NamedTuple):
+    """A strategy's own named form of a decision: the engine reads it by position."""
 
-    def __init__(self, inner):
+    place_in: int | None
+    close: tuple
+    tag: object
+
+
+class _Reshaped:
+    """Returns the wrapped strategy's decisions converted by ``make``."""
+
+    def __init__(self, inner, make):
         self.inner = inner
         self.name = inner.name
+        self.make = make
 
     def place(self, view):
-        return Decision._make(self.inner.place(view))
+        return self.make(self.inner.place(view))
 
 
 @given(job_sequences(max_jobs=16, max_time=10), st.integers(1, 6), st.booleans())
-def test_a_decision_and_its_plain_triple_give_identical_runs(seq, mu, record_events):
+def test_a_list_and_a_named_tuple_give_the_triples_run(seq, mu, record_events):
     e = seq.capacity.e
     for spec in all_strategy_specs(mu):
         plain = simulate(build_strategy(spec, e), seq, record_events=record_events)
-        named = simulate(_Named(build_strategy(spec, e)), seq, record_events=record_events)
-        assert named == plain, spec
-        assert named.trace.servers == plain.trace.servers, spec
+        for make in (list, Placement._make):
+            run = simulate(_Reshaped(build_strategy(spec, e), make), seq,
+                           record_events=record_events)
+            assert run == plain, (spec, make)
+            assert run.trace.servers == plain.trace.servers, (spec, make)
 
 
 @given(job_sequences())

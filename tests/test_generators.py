@@ -30,7 +30,14 @@ from rentsim import (
     write_sequence_csv,
 )
 
-from helpers import PeekingFirstFit, all_strategy_specs, next_u64, randint, reference_draw
+from helpers import (
+    PeekingFirstFit,
+    all_strategy_specs,
+    jobs_of,
+    next_u64,
+    randint,
+    reference_draw,
+)
 
 
 def test_splitmix64_reference_vector():
@@ -119,15 +126,13 @@ def test_uniform_jobs_equal_jobs_built_row_by_row(size_max):
     rows = [Job(i, size, arrival, arrival + length) for i, (size, arrival, length)
             in enumerate(zip(draws[0::3], draws[1::3], draws[2::3]), 1)]
     rows.sort(key=lambda job: job.arrival)
-    assert [type(job) for job in seq] == [Job] * len(rows)
-    assert list(seq) == rows
-    assert [hash(job) for job in seq] == [hash(job) for job in rows]
+    assert jobs_of(seq) == tuple(rows)
 
 
 def test_uniform_sequences_differ_across_seeds():
     base = dict(n=50, e=100, t=200, mu=10)
     digests = {
-        hash(gen_uniform(UniformParams(seed=s, **base)).jobs) for s in range(100)
+        hash(jobs_of(gen_uniform(UniformParams(seed=s, **base)))) for s in range(100)
     }
     assert len(digests) == 100
 
@@ -135,20 +140,20 @@ def test_uniform_sequences_differ_across_seeds():
 def test_uniform_respects_ranges():
     params = UniformParams(n=2000, e=50, t=100, mu=7, seed=11, size_min=10, size_max=20)
     seq = gen_uniform(params)
-    assert all(10 <= j.size <= 20 for j in seq.jobs)
-    assert all(1 <= j.arrival <= 100 - 7 for j in seq.jobs)
-    assert all(1 <= j.departure - j.arrival <= 7 for j in seq.jobs)
+    assert all(10 <= j.size <= 20 for j in jobs_of(seq))
+    assert all(1 <= j.arrival <= 100 - 7 for j in jobs_of(seq))
+    assert all(1 <= j.departure - j.arrival <= 7 for j in jobs_of(seq))
 
 
 def test_uniform_mu_one_gives_unit_lengths():
     seq = gen_uniform(UniformParams(n=200, e=10, t=50, mu=1, seed=3))
-    assert all(j.departure - j.arrival == 1 for j in seq.jobs)
+    assert all(j.departure - j.arrival == 1 for j in jobs_of(seq))
 
 
 def test_uniform_mean_size_matches_distribution():
     params = UniformParams(n=100_000, e=1000, t=10_000, mu=10, seed=2024)
     seq = gen_uniform(params)
-    mean = sum(j.size for j in seq.jobs) / len(seq)
+    mean = sum(j.size for j in jobs_of(seq)) / len(seq)
     assert abs(mean - 500.5) <= 5.005  # within 1 percent of (E+1)/2
 
 
@@ -172,7 +177,7 @@ def test_adversary_single_phase_hand_trace():
         eps=Fraction(1, 2), mu=3, delta=1, phases=1, target="nf", e=10
     )
     seq, offline = gen_adversarial(params)
-    assert [(j.size, j.arrival, j.departure) for j in seq.jobs] == [
+    assert [(j.size, j.arrival, j.departure) for j in jobs_of(seq)] == [
         (5, 0, 3),
         (5, 0, 1),
         (5, 0, 3),
@@ -202,7 +207,7 @@ def test_adversary_mu_one_everything_leaves_at_delta():
         eps=Fraction(1, 2), mu=1, delta=2, phases=2, target="bf", e=10
     )
     seq, offline = gen_adversarial(params)
-    assert all(j.departure - j.arrival == 2 for j in seq.jobs)
+    assert all(j.departure - j.arrival == 2 for j in jobs_of(seq))
     assert adversary_ratio_bound(Fraction(1, 2), 1) == 1
     result = simulate(build_strategy("bf", 10), seq)
     assert Fraction(result.total_cost, 1) / offline == 1
@@ -241,7 +246,7 @@ def _phases_grouped_unlike_the_probe(params, make_strategy) -> list[int]:
     for phase in range(params.phases):
         start = phase * length
         jobs = [Job(job.id, job.size, start, start + length)
-                for job in seq.jobs if job.arrival == start]
+                for job in jobs_of(seq) if job.arrival == start]
         probe_seq = JobSequence(jobs, CapacityConfig(params.e))
         probe = simulate(make_strategy(probe_seq), probe_seq, record_events=False)
         groups = []
@@ -281,7 +286,7 @@ def test_adversary_phases_are_time_disjoint():
     )
     seq, _ = gen_adversarial(params)
     phase_span = 3 * 2
-    for job in seq.jobs:
+    for job in jobs_of(seq):
         phase = job.arrival // phase_span
         assert job.arrival == phase * phase_span
         assert job.departure <= (phase + 1) * phase_span

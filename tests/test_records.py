@@ -2,9 +2,9 @@
 
 Every record is immutable and slotted, built the same way by keyword and by
 position, hashable and picklable.  The cold records are frozen slotted
-dataclasses; ``Event``, built once per event row, and ``Decision``, the
-named form of a strategy's decision (the built-in strategies return plain
-triples), are named tuples.  ``ArrivalView`` is no record: the engine
+dataclasses; ``Event``, built once per event row, is a named tuple.  A
+strategy's decision is no record but a plain ``(place_in, close, tag)``
+triple (pinned in ``test_engine``).  ``ArrivalView`` is no record: the engine
 updates one view in place for every arrival of a run (pinned in
 ``test_engine``).
 """
@@ -25,7 +25,6 @@ from rentsim import (
     AdversaryParams,
     BoundEntry,
     CapacityConfig,
-    Decision,
     Job,
     JobSequence,
     SequenceStats,
@@ -42,12 +41,11 @@ RECORDS = {
     ServerRecord: (1, 0, 6, 3, (1, 2)),
     Event: (3, "place", 1, 2),
     Violation: ("capacity-exceeded", 2, None, 1, "load 11 > 10"),
-    Decision: (2, (1,), 5),
     BoundEntry: ("lb_span", Fraction(5), Fraction(7), True),
     UniformParams: (100, 1000, 1000, 10, 7, 2, 500),
     AdversaryParams: (Fraction(1, 4), 3, 2, 1, "ff", 16),
 }
-NAMED_TUPLES = {Decision, Event}
+NAMED_TUPLES = {Event}
 SRC = Path(rentsim.__file__).parent
 
 

@@ -33,6 +33,7 @@ from helpers import (
     ReplayState,
     all_strategy_specs,
     job_sequences,
+    jobs_of,
     replay_check_placements,
 )
 
@@ -132,10 +133,10 @@ def test_all_large_modified_next_fit_equals_next_fit(seq):
     # with K=2 and every size at least half the capacity there is no small stream
     e = seq.capacity.e
     bumped = [
-        Job(j.id, max(j.size, (e + 1) // 2), j.arrival, j.departure) for j in seq.jobs
+        Job(j.id, max(j.size, (e + 1) // 2), j.arrival, j.departure) for j in jobs_of(seq)
     ]
     big = JobSequence(bumped, seq.capacity)
-    assert all(2 * j.size >= e for j in big.jobs)
+    assert all(2 * j.size >= e for j in jobs_of(big))
     mnf = simulate(ModifiedNextFit(e, Fraction(2)), big)
     nf = simulate(NextFit(e), big)
     assert mnf.trace.assignments == nf.trace.assignments
@@ -227,7 +228,7 @@ def test_move_to_front_promotes_back_of_list():
     # after job 3 lands in server 1 the list is [1, 2]; job 4 fits nowhere,
     # opens server 3, and a later fit-anywhere item would scan 3 first
     seq2 = JobSequence(
-        list(seq.jobs) + [Job(5, 1, 4, 20)], CapacityConfig(10)
+        list(jobs_of(seq)) + [Job(5, 1, 4, 20)], CapacityConfig(10)
     )
     result2 = simulate(MoveToFront(10), seq2)
     assert result2.trace.assignments[5] == 3
@@ -304,8 +305,8 @@ def _grouping(result, job_ids):
 def test_split_stream_traces_match_base_strategy_on_subsequence(seq, k):
     e = seq.capacity.e
     k = Fraction(k)
-    small_ids = {j.id for j in seq.jobs if j.size * k < e}
-    large_ids = {j.id for j in seq.jobs} - small_ids
+    small_ids = {j.id for j in jobs_of(seq) if j.size * k < e}
+    large_ids = {j.id for j in jobs_of(seq)} - small_ids
     for split, base in (
         (ModifiedNextFit(e, k), NextFit(e)),
         (ModifiedFirstFit(e, k), FirstFit(e)),
@@ -314,7 +315,7 @@ def test_split_stream_traces_match_base_strategy_on_subsequence(seq, k):
         for ids in (small_ids, large_ids):
             if not ids:
                 continue
-            sub = JobSequence([j for j in seq.jobs if j.id in ids], seq.capacity)
+            sub = JobSequence([j for j in jobs_of(seq) if j.id in ids], seq.capacity)
             alone = simulate(base, sub)
             assert _grouping(whole, ids) == _grouping(alone, ids)
 
@@ -325,10 +326,10 @@ def test_harmonic_classes_run_independent_next_fit(seq, k):
     strategy = Harmonic(e, k)
     whole = simulate(strategy, seq)
     for cls in range(1, k + 1):
-        ids = {j.id for j in seq.jobs if strategy.size_class(j.size) == cls}
+        ids = {j.id for j in jobs_of(seq) if strategy.size_class(j.size) == cls}
         if not ids:
             continue
-        sub = JobSequence([j for j in seq.jobs if j.id in ids], seq.capacity)
+        sub = JobSequence([j for j in jobs_of(seq) if j.id in ids], seq.capacity)
         alone = simulate(NextFit(e), sub)
         assert _grouping(whole, ids) == _grouping(alone, ids)
 
