@@ -1,4 +1,9 @@
-"""The seven placement strategies behind one interface.
+"""The seven placement strategies behind one interface: four fit rules.
+
+Next Fit and First Fit each run over ``stream(size)``, the tag of the
+servers a job may go to: one stream for nf and ff, small and large items
+for mnf and mff, and the size class for Harmonic (Next Fit per class).
+Best Fit and Move To Front are the other two rules.
 
 Every strategy is a pure function of the :class:`ArrivalView` it receives,
 which holds only the arriving job's size and the placeable servers:
@@ -10,8 +15,7 @@ valid only while ``place`` runs (the engine reuses one view per run); its
 ``servers`` is a read-only, live iterable of ``(id, level, tag)`` tuples
 in opening order, unpacked in the scan.  A decision is a plain ``(place_in,
 close, tag)`` triple, the one form the engine reads (its meaning is stated
-on :class:`~rentsim.engine.PlacementStrategy`); those that take no
-parameter are built once, shared.
+on :class:`~rentsim.engine.PlacementStrategy`).
 
 Size thresholds (Modified Next Fit, Modified First Fit, Harmonic classes)
 are exact: with integer sizes and a rational K each reduces to an integer
@@ -80,37 +84,46 @@ class _Base:
     def __init__(self, e: int):
         self.e = CapacityConfig(e).e
 
-
-# the decisions that take no parameter, shared by every call
-_OPEN = (None, (), None)
-_OPEN_STREAM = {stream: (None, (), stream) for stream in ("small", "large")}
-
-
-def _next_fit_stream(view: ArrivalView, e: int, opening: tuple) -> tuple:
-    """Next Fit over the servers tagged ``opening``'s tag: at most one is ever open.
-
-    ``opening`` is the shared decision that opens the stream's next server.
-    """
-    stream = opening[2]
-    for sid, level, tag in view.servers:
-        if tag == stream:
-            if level + view.size <= e:
-                return (sid, (), None)
-            return (None, (sid,), stream)
-    return opening
+    def stream(self, size: int):
+        """The tag of the servers a job of ``size`` may go to; None, the default, is one stream."""
+        return None
 
 
 class NextFit(_Base):
-    """Keep a single open server; close it the moment an item does not fit."""
+    """Keep one open server per stream; close it the moment an item does not fit.
+
+    At most one server of a stream is ever open, so the scan stops at the first.
+    """
 
     name = "nf"
 
     def place(self, view: ArrivalView) -> tuple:
-        return _next_fit_stream(view, self.e, _OPEN)
+        size = view.size
+        stream = self.stream(size)
+        for sid, level, tag in view.servers:
+            if tag == stream:
+                if level + size <= self.e:
+                    return (sid, (), None)
+                return (None, (sid,), stream)
+        return (None, (), stream)
+
+
+class FirstFit(_Base):
+    """Place into the earliest-opened server of the stream with room; never close."""
+
+    name = "ff"
+
+    def place(self, view: ArrivalView) -> tuple:
+        stream = self.stream(view.size)
+        room = self.e - view.size
+        for sid, level, tag in view.servers:
+            if level <= room and tag == stream:
+                return (sid, (), None)
+        return (None, (), stream)
 
 
 class _TwoStreams(_Base):
-    """What MNF and MFF share: the K check, the name and the small (< E/K) test."""
+    """What MNF and MFF share: the K check, the name and the small (< E/K) and large streams."""
 
     kind = ""  # the selection kind, which names K's range in ``_KINDS``
 
@@ -120,46 +133,20 @@ class _TwoStreams(_Base):
         self.name = f"{self.kind}:{self.k}"
         self._small_below = self.e * self.k.denominator  # size < E/K
 
-    def _opening(self, size: int) -> tuple:
-        """The decision opening the next server of ``size``'s stream, tagged with the stream."""
-        return _OPEN_STREAM["small" if size * self.k.numerator < self._small_below else "large"]
+    def stream(self, size: int) -> str:
+        return "small" if size * self.k.numerator < self._small_below else "large"
 
 
-class ModifiedNextFit(_TwoStreams):
+class ModifiedNextFit(_TwoStreams, NextFit):
     """Next Fit run separately on small (< E/K) and large (>= E/K) items."""
 
     kind = "mnf"
 
-    def place(self, view: ArrivalView) -> tuple:
-        return _next_fit_stream(view, self.e, self._opening(view.size))
 
-
-class FirstFit(_Base):
-    """Place into the earliest-opened server with room; never close."""
-
-    name = "ff"
-
-    def place(self, view: ArrivalView) -> tuple:
-        room = self.e - view.size
-        for sid, level, _ in view.servers:
-            if level <= room:
-                return (sid, (), None)
-        return _OPEN
-
-
-class ModifiedFirstFit(_TwoStreams):
+class ModifiedFirstFit(_TwoStreams, FirstFit):
     """First Fit run separately on small (< E/K) and large (>= E/K) items."""
 
     kind = "mff"
-
-    def place(self, view: ArrivalView) -> tuple:
-        opening = self._opening(view.size)
-        stream = opening[2]
-        room = self.e - view.size
-        for sid, level, tag in view.servers:
-            if tag == stream and level <= room:
-                return (sid, (), None)
-        return opening
 
 
 class BestFit(_Base):
@@ -175,31 +162,23 @@ class BestFit(_Base):
             if best_level < level <= room:
                 best = sid
                 best_level = level
-        return _OPEN if best is None else (best, (), None)
+        return (best, (), None)
 
 
-class Harmonic(_Base):
+class Harmonic(NextFit):
     """Next Fit per harmonic size class.
 
     Class i < K holds sizes in (E/(i+1), E/i]; class K holds sizes <= E/K.
-    For integer sizes the class of s is min(K, floor(E/s)).
+    For integer sizes the class of s is min(K, floor(E/s)), its stream.
     """
 
     def __init__(self, e: int, k: int):
         super().__init__(e)
         self.k = int(_checked_k("harmonic", k))
         self.name = f"harmonic:{self.k}"
-        # the decision opening each size class's next server, made on the
-        # class's first use (K and E are unbounded, so no table up front)
-        self._opening: dict[int, tuple] = {}
 
-    def size_class(self, size: int) -> int:
+    def stream(self, size: int) -> int:
         return min(self.k, self.e // size)
-
-    def place(self, view: ArrivalView) -> tuple:
-        c = self.size_class(view.size)
-        opening = self._opening.get(c) or self._opening.setdefault(c, (None, (), c))
-        return _next_fit_stream(view, self.e, opening)
 
 
 class MoveToFront(_Base):

@@ -7,8 +7,9 @@ Run from anywhere, with only the standard library and pytest installed::
 Each mutant in ``MUTANTS`` is one exact text replacement in one file under
 ``src/``.  For each, the gate copies ``src/`` to a temporary directory,
 applies the replacement there and runs
-``python -m pytest -q -x -k "not acceptance" tests`` in a subprocess with
-that copy first on ``PYTHONPATH``, at most two runs at a time.  An
+``python -m pytest -q -x -k "not acceptance" --hypothesis-seed=0 tests``
+in a subprocess with that copy first on ``PYTHONPATH``, at most two runs
+at a time.  The fixed seed makes each verdict repeatable.  An
 unmutated copy runs the same way first, so a suite that already fails
 cannot count as killing anything.  The gate prints ``killed`` or
 ``survived`` per mutant and exits 1 if any mutant survives, if any old text
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-k", "not acceptance",
-          "-p", "no:cacheprovider", str(ROOT / "tests")]
+          "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")]
 MAX_RUNNING = 2
 
 
@@ -53,6 +54,11 @@ def dropped(kind: str, rest: str = "", indent: int | None = None) -> Mutant:
     old = f'{head}Violation("{kind}"{rest}'
     return Mutant(f"validator-drops-{kind}", "core.py", old,
                   old.replace("violations.append(", "[].append(", 1))
+
+
+def skipped(name: str, path: str, test: str) -> Mutant:
+    """The mutant in which the check ``if <test>:`` in ``path`` never fires."""
+    return Mutant(name, path, f"if {test}:", "if False:")
 
 
 MUTANTS = [
@@ -101,6 +107,70 @@ MUTANTS = [
     Mutant("utilization-reads-the-ids-column", "core.py",
            "return Fraction(sum(map(mul, seq.sizes, lengths)), seq.capacity.e)",
            "return Fraction(sum(map(mul, seq.ids, lengths)), seq.capacity.e)"),
+    # the fit rules and the stream keys; Move To Front's `tag > best_tag` -> `>=`
+    # has no entry: it is equivalent, as no two placeable servers share a stamp
+    Mutant("nf-fit-needs-spare-room", "strategies.py",
+           "if level + size <= self.e:", "if level + size < self.e:"),
+    Mutant("ff-fit-needs-spare-room", "strategies.py",
+           "if level <= room and tag == stream:", "if level < room and tag == stream:"),
+    Mutant("ff-ignores-the-stream", "strategies.py",
+           "if level <= room and tag == stream:", "if level <= room:"),
+    Mutant("two-streams-e-over-k-is-small", "strategies.py",
+           "size * self.k.numerator < self._small_below",
+           "size * self.k.numerator <= self._small_below"),
+    Mutant("harmonic-classes-past-k", "strategies.py",
+           "return min(self.k, self.e // size)", "return self.e // size"),
+    Mutant("bf-ties-go-to-the-later-server", "strategies.py",
+           "if best_level < level <= room:", "if best_level <= level <= room:"),
+    # bound formulas: one mutant per BoundEntry name (the small-k cap above covers
+    # nf_worst_case_small_k and nf_critical_cap_small_k)
+    Mutant("lb-span-less-one", "bounds.py",
+           'BoundEntry.at_least("lb_span", stats.span, cost)',
+           'BoundEntry.at_least("lb_span", stats.span - 1, cost)'),
+    Mutant("lb-util-halved", "bounds.py",
+           'BoundEntry.at_least("lb_util", stats.util, cost)',
+           'BoundEntry.at_least("lb_util", stats.util / 2, cost)'),
+    Mutant("ub-total-length-doubled", "bounds.py",
+           'BoundEntry.at_most("ub_total_length", stats.total_length, cost)',
+           'BoundEntry.at_most("ub_total_length", 2 * stats.total_length, cost)'),
+    Mutant("ub-sizes-geq-e-over-k-with-k-plus-one", "bounds.py",
+           "k * stats.util, cost)", "(k + 1) * stats.util, cost)"),
+    Mutant("nf-worst-case-tripled", "bounds.py",
+           "stats.span + 2 * stats.total_size * mu_delta, cost",
+           "stats.span + 3 * stats.total_size * mu_delta, cost"),
+    Mutant("nf-critical-cap-tripled", "bounds.py",
+           'BoundEntry.at_most("nf_critical_cap", 2 * stats.total_size, p)',
+           'BoundEntry.at_most("nf_critical_cap", 3 * stats.total_size, p)'),
+    Mutant("mnf-factor-floor-two", "bounds.py",
+           "factor = max(Fraction(1), stats.mu / (k - 1))",
+           "factor = max(Fraction(2), stats.mu / (k - 1))"),
+    Mutant("mtf-segment-check-seven", "bounds.py",
+           "satisfied = all(cost * scale <= 6 * a * w",
+           "satisfied = all(cost * scale <= 7 * a * w"),
+    Mutant("cost-geq-opt-less-one", "bounds.py",
+           'BoundEntry.at_least("cost_geq_opt", opt_exact, result.total_cost)',
+           'BoundEntry.at_least("cost_geq_opt", opt_exact - 1, result.total_cost)'),
+    # the sequence CSV reader's rules
+    skipped("sequence-reader-takes-a-second-capacity-line", "core.py", "capacity_line"),
+    skipped("sequence-reader-takes-a-duplicate-id", "core.py", "job.id in job_line"),
+    skipped("sequence-reader-names-an-oversized-row-late", "core.py",
+            "capacity is not None and job.size > capacity"),
+    skipped("sequence-reader-takes-any-header", "core.py", "fields != CSV_HEADER"),
+    skipped("sequence-reader-takes-any-field-count", "core.py",
+            "len(fields) != len(CSV_HEADER)"),
+    # the event CSV reader's rules
+    Mutant("event-reader-takes-an-unknown-kind", "engine.py",
+           "spec = EVENT_KINDS.get(kind)", "spec = EVENT_KINDS.get(kind, (0, False, False))"),
+    skipped("event-reader-takes-a-missing-id", "engine.py",
+            "needs_job and not job_id or needs_server and not server_id"),
+    skipped("event-reader-takes-an-extra-id", "engine.py",
+            "job_id and not needs_job or server_id and not needs_server"),
+    skipped("event-reader-takes-any-field-count", "engine.py",
+            "len(row) != len(EVENT_HEADER)"),
+    skipped("event-reader-takes-any-header", "engine.py", "header != EVENT_HEADER"),
+    Mutant("event-reader-fallback-keeps-the-blocks-read", "engine.py",
+           "return tuple(_csv_events(text_lines(path)))",
+           "return tuple(events) + tuple(_csv_events(text_lines(path)))"),
 ]
 
 

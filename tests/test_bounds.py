@@ -236,6 +236,9 @@ def test_mtf_bound_checks_each_continuous_segment():
          shifts=[0, 3])
 @example(seq=JobSequence([Job(1, 1, 0, 4), Job(2, 1, 10, 16)], CapacityConfig(3)),
          shifts=[0, 4])
+# mu = 1: the moved server costs 20 + 20 * 19 = 400, past its segment's bound
+# 6 * 2 * 20 + 20 + 3 * 2 * 20 = 380 by less than one more (mu + 1) * util, 40
+@example(seq=JobSequence([Job(1, 6, 0, 20)], CapacityConfig(6)), shifts=[19])
 def test_mtf_bound_sweep_matches_reference(seq, shifts):
     stats = compute_stats(seq)
     result = simulate(MoveToFront(seq.capacity.e), seq, record_events=False)

@@ -130,17 +130,19 @@ def test_threshold_comparison_is_exact_rational():
 
 @given(job_sequences(max_e=10))
 def test_all_large_modified_next_fit_equals_next_fit(seq):
-    # with K=2 and every size at least half the capacity there is no small stream
+    # with K=2 and every size at least half the capacity there is no small
+    # stream, so MNF is Next Fit and MFF is First Fit on the same sequence
     e = seq.capacity.e
     bumped = [
         Job(j.id, max(j.size, (e + 1) // 2), j.arrival, j.departure) for j in jobs_of(seq)
     ]
     big = JobSequence(bumped, seq.capacity)
     assert all(2 * j.size >= e for j in jobs_of(big))
-    mnf = simulate(ModifiedNextFit(e, Fraction(2)), big)
-    nf = simulate(NextFit(e), big)
-    assert mnf.trace.assignments == nf.trace.assignments
-    assert mnf.total_cost == nf.total_cost
+    for split, base in ((ModifiedNextFit, NextFit), (ModifiedFirstFit, FirstFit)):
+        modified = simulate(split(e, Fraction(2)), big)
+        plain = simulate(base(e), big)
+        assert modified.trace.assignments == plain.trace.assignments, split.__name__
+        assert modified.total_cost == plain.total_cost, split.__name__
 
 
 # ---------------------------------------------------------------- first fit
@@ -177,14 +179,14 @@ def test_best_fit_reorders_after_departure():
 
 def test_harmonic_class_boundaries():
     h = Harmonic(1000, 10)
-    assert h.size_class(600) == 1
-    assert h.size_class(501) == 1
-    assert h.size_class(500) == 2
-    assert h.size_class(450) == 2
-    assert h.size_class(101) == 9
-    assert h.size_class(100) == 10
-    assert h.size_class(90) == 10
-    assert h.size_class(1) == 10
+    assert h.stream(600) == 1
+    assert h.stream(501) == 1
+    assert h.stream(500) == 2
+    assert h.stream(450) == 2
+    assert h.stream(101) == 9
+    assert h.stream(100) == 10
+    assert h.stream(90) == 10
+    assert h.stream(1) == 10
 
 
 def test_harmonic_fills_class_stream_next_fit_style():
@@ -326,7 +328,7 @@ def test_harmonic_classes_run_independent_next_fit(seq, k):
     strategy = Harmonic(e, k)
     whole = simulate(strategy, seq)
     for cls in range(1, k + 1):
-        ids = {j.id for j in jobs_of(seq) if strategy.size_class(j.size) == cls}
+        ids = {j.id for j in jobs_of(seq) if strategy.stream(j.size) == cls}
         if not ids:
             continue
         sub = JobSequence([j for j in jobs_of(seq) if j.id in ids], seq.capacity)
@@ -336,7 +338,7 @@ def test_harmonic_classes_run_independent_next_fit(seq, k):
 
 class _StreamWatch:
     """Wraps a Next Fit family strategy; asserts that no view shows two servers
-    of one stream, the invariant that lets ``_next_fit_stream`` stop at the
+    of one stream, the invariant that lets ``NextFit.place`` stop at the
     first server of its stream."""
 
     def __init__(self, inner):
