@@ -40,7 +40,6 @@ __all__ = [
     "lower_bound",
     "brute_force_opt",
     "check_nf_bound",
-    "nf_small_k_unmet",
     "check_mnf_bound",
     "check_mtf_bound",
     "check_universal_bounds",
@@ -167,20 +166,6 @@ def _require(result: RunResult, kind: str, checker: str) -> None:
         )
 
 
-def nf_small_k_unmet(seq: JobSequence, k: Fraction | int) -> str | None:
-    """Why the small-size Next Fit bound for ``k`` does not apply to ``seq``.
-
-    The bound needs k >= 2 and every size at most E/k; None when it applies.
-    """
-    k = Fraction(k)
-    if k < 2:
-        return f"k={k} is below 2"
-    i = max(range(len(seq)), key=seq.sizes.__getitem__)
-    if seq.sizes[i] * k > seq.capacity.e:
-        return f"job {seq.ids[i]} has size {seq.sizes[i]} > E/k = {seq.capacity.e / k}"
-    return None
-
-
 def check_nf_bound(
     result: RunResult, stats: SequenceStats, k: Fraction | int | None = None
 ) -> list[BoundEntry]:
@@ -189,9 +174,9 @@ def check_nf_bound(
     The general cap on critical bins is twice the total size; when every
     size is at most E/k for some k >= 2 the cap tightens to
     total_size / (1 - 1/k).  The observed critical count is checked
-    against the same caps.  The tighter branch is applied only when the
-    size precondition actually holds for the sequence
-    (:func:`nf_small_k_unmet`).
+    against the same caps.  The tighter branch is applied only when ``k``
+    is given and its precondition holds for the sequence
+    (:func:`build_report` passes the tightest such k).
     """
     _require(result, "nf", "check_nf_bound")
     cost, p = result.total_cost, result.critical_count
@@ -202,8 +187,8 @@ def check_nf_bound(
         ),
         BoundEntry.at_most("nf_critical_cap", 2 * stats.total_size, p),
     ]
-    if k is not None and nf_small_k_unmet(result.trace.sequence, k) is None:
-        k = Fraction(k)
+    seq = result.trace.sequence
+    if k is not None and (k := Fraction(k)) >= 2 and max(seq.sizes) * k <= seq.capacity.e:
         cap = stats.total_size / (1 - 1 / k)
         entries.append(
             BoundEntry.at_most(
@@ -295,19 +280,18 @@ def check_universal_bounds(
     ]
 
 
-def build_report(
-    result: RunResult,
-    *,
-    with_oracle: bool = False,
-    nf_k: Fraction | int | None = None,
-) -> BoundReport:
-    """Gather universal checks plus the checks specific to the run's strategy."""
+def build_report(result: RunResult, *, with_oracle: bool = False) -> BoundReport:
+    """Gather universal checks plus the checks specific to the run's strategy.
+
+    Next Fit's small-size checks take k = E / (largest size), the tightest
+    k whose precondition the sequence meets (they apply when k >= 2).
+    """
     seq = result.trace.sequence
     stats = compute_stats(seq)
     entries = list(check_universal_bounds(result, stats))
     kind, _, param = result.strategy.partition(":")
     if kind == "nf":
-        entries.extend(check_nf_bound(result, stats, nf_k))
+        entries.extend(check_nf_bound(result, stats, Fraction(seq.capacity.e, max(seq.sizes))))
     elif kind == "mnf":
         entries.append(check_mnf_bound(result, stats, Fraction(param)))
     elif kind == "mtf":

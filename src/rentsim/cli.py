@@ -19,7 +19,7 @@ from .bench import (
     run_experiment,
     summary_table,
 )
-from .bounds import build_report, nf_small_k_unmet
+from .bounds import build_report
 from .core import (
     compute_stats,
     fraction_json,
@@ -58,7 +58,11 @@ def _fmt(value) -> str:
     frac = Fraction(value)
     if frac.denominator == 1:
         return str(int(frac))
-    return f"{frac} ({float(frac):g})"
+    try:
+        approx = float(frac)
+    except OverflowError:  # beyond the float range: the exact value alone
+        return str(frac)
+    return f"{frac} ({approx:g})"
 
 
 def cmd_generate(args) -> int:
@@ -104,14 +108,9 @@ def cmd_run(args) -> int:
     strategy = build_strategy(args.strategy, seq.capacity.e, mu=stats.mu)
     result = simulate(strategy, seq)
     violations = validate_trace(result.trace)
-    report = build_report(result, with_oracle=args.oracle, nf_k=args.nf_k)
+    report = build_report(result, with_oracle=args.oracle)
     if args.events:
         write_event_csv(result.trace.events, args.events)
-    if args.nf_k is not None:
-        reason = (nf_small_k_unmet(seq, args.nf_k) if result.strategy == "nf"
-                  else f"it bounds nf only, not {result.strategy}")
-        if reason is not None:
-            print(f"note: --nf-k {args.nf_k} adds no check: {reason}", file=sys.stderr)
 
     if args.json:
         payload = {
@@ -225,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("sequence")
     run.add_argument("--oracle", action="store_true",
                      help="compare against the exact optimum (tiny instances)")
-    run.add_argument("--nf-k", type=_fraction, default=None,
-                     help="assert the small-size Next Fit bound for this k")
     run.add_argument("--events", default=None, help="write the event log CSV here")
     run.add_argument("--json", action="store_true")
     run.set_defaults(func=cmd_run)

@@ -18,9 +18,8 @@ Conventions used throughout the package:
 A sequence is four int columns, which its timeline (four more columns, not
 one tuple per event), statistics, CSV rows, trace records, validator and
 bound checks read; a :class:`Job` is built only from input, to check a row.
-A trace's server records are built only when read, in C by
-``_build_slotted``, which stores whole columns through the slot
-descriptors.  ``validate_trace`` does per
+A trace's server records are named tuples built only when read, in C by
+``tuple.__new__`` over the zipped columns.  ``validate_trace`` does per
 server only the work that can find a violation: a one-job server is not
 sorted, and the running load sum runs only when the members' sizes add up
 past E.  Both readers take their lines from one source, ``text_lines``,
@@ -32,7 +31,6 @@ is not UTF-8.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -69,18 +67,6 @@ EVENT_KINDS = {
     "place": (1, True, True),
     "close": (1, False, True),
 }
-
-
-def _build_slotted(cls, n: int, *columns: Iterable) -> list:
-    """``n`` instances of a slotted class, column ``i`` stored in slot ``i``, built in C.
-
-    Each slot's descriptor stores past a frozen dataclass's ``__setattr__``
-    and nothing runs ``__post_init__``: callers pass only rows they checked.
-    """
-    objs = list(map(object.__new__, repeat(cls, n)))
-    for name, column in zip(cls.__slots__, columns):
-        deque(map(getattr(cls, name).__set__, objs, column), 0)
-    return objs
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,8 +265,7 @@ def compute_stats(seq: JobSequence) -> SequenceStats:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ServerRecord:
+class ServerRecord(NamedTuple):
     """One rented server as its trace derives it: open interval, close mark, jobs.
 
     ``closed_at`` is set only by strategies that stop placing into a server
@@ -358,10 +343,9 @@ class PlacementTrace:
                 opened[sid] = arrival
                 released[sid] = departure
         ids = sorted(placed)
-        return tuple(_build_slotted(
-            ServerRecord, len(ids), ids, map(opened.__getitem__, ids),
-            map(released.__getitem__, ids), map(self.closed_at.get, ids),
-            map(tuple, map(placed.__getitem__, ids))))
+        return tuple(map(tuple.__new__, repeat(ServerRecord), zip(
+            ids, map(opened.__getitem__, ids), map(released.__getitem__, ids),
+            map(self.closed_at.get, ids), map(tuple, map(placed.__getitem__, ids)))))
 
 
 @dataclass(frozen=True, slots=True)

@@ -94,6 +94,10 @@ MUTANTS = [
     Mutant("nf-small-k-cap-doubled", "bounds.py",
            "cap = stats.total_size / (1 - 1 / k)",
            "cap = 2 * stats.total_size / (1 - 1 / k)"),
+    Mutant("nf-report-k-from-the-smallest-size", "bounds.py",
+           "Fraction(seq.capacity.e, max(seq.sizes))", "Fraction(seq.capacity.e, min(seq.sizes))"),
+    Mutant("nf-small-k-from-k-one", "bounds.py",
+           "(k := Fraction(k)) >= 2", "(k := Fraction(k)) >= 1"),
     # the sequence's columns
     Mutant("column-check-departure-at-arrival-passes", "core.py",
            "or not all(map(gt, departures, arrivals))",

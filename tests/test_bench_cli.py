@@ -589,40 +589,51 @@ def test_cli_generate_bad_eps_exits_2(tmp_path, capsys):
     assert not (tmp_path / "adv.csv").exists()
 
 
-def test_cli_run_bad_nf_k_exits_2(tmp_path, capsys):
+def test_cli_run_nf_checks_the_small_size_bound_at_e_over_the_largest_size(tmp_path, capsys):
+    # sizes 3, 4, 4 at E=10: k = 10/4, the tightest k with every size at most E/k
+    seq_path = tmp_path / "ex.csv"
+    _write_three_job_instance(seq_path)
+    assert main(["run", "nf", str(seq_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if "_small_k=" in line] == [
+        "check nf_worst_case_small_k=5/2: formula=37/3 (12.3333) cost=7 ok",
+        "check nf_critical_cap_small_k=5/2: formula=11/6 (1.83333) cost=1 ok",
+    ]
+
+
+@pytest.mark.parametrize("strategy, size_2", [("nf", 6), ("ff", 4)],
+                         ids=["nf-largest-size-past-half-e", "ff"])
+def test_cli_run_adds_no_small_size_check(tmp_path, capsys, strategy, size_2):
+    # a size 6 > E/2 leaves k = 10/6 below 2; the small-size checks bound nf only
+    seq_path = tmp_path / "ex.csv"
+    write_sequence_csv(JobSequence(
+        [Job(1, 3, 1, 5), Job(2, size_2, 2, 6), Job(3, 4, 3, 5)], CapacityConfig(10)),
+        seq_path)
+    assert main(["run", strategy, str(seq_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and f"strategy: {strategy}\n" in out
+    assert "small_k" not in out
+
+
+def test_cli_run_has_no_nf_k_flag(tmp_path, capsys):
     seq_path = tmp_path / "ex.csv"
     _write_three_job_instance(seq_path)
     with pytest.raises(SystemExit) as info:
-        main(["run", "nf", str(seq_path), "--nf-k", "1/0"])
+        main(["run", "nf", str(seq_path), "--nf-k", "2"])
     assert info.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        "error: argument --nf-k: not a rational number: '1/0'\n")
-    # --nf-k 0 adds no check, as when the flag is unset; --nf-k 2 adds the small-size ones
-    outputs = []
-    for extra in ([], ["--nf-k", "0"], ["--nf-k", "2"]):
-        assert main(["run", "nf", str(seq_path), *extra]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] != outputs[2]
-    assert "check nf_worst_case_small_k=2:" in outputs[2]
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --nf-k 2\n")
 
 
-@pytest.mark.parametrize("strategy, k, reason", [
-    pytest.param("nf", "0", "k=0 is below 2", id="0-k=0 is below 2"),
-    # the largest job of the three, at E=10
-    pytest.param("nf", "5", "job 2 has size 4 > E/k = 2", id="5-job 2 has size 4 > E/k = 2"),
-    pytest.param("ff", "2", "it bounds nf only, not ff", id="ff-2-it bounds nf only, not ff"),
-])
-def test_cli_run_says_why_nf_k_adds_no_check(tmp_path, capsys, strategy, k, reason):
-    seq_path = tmp_path / "ex.csv"
-    _write_three_job_instance(seq_path)
-    assert main(["run", strategy, str(seq_path)]) == 0
-    plain = capsys.readouterr()
-    assert main(["run", strategy, str(seq_path), "--nf-k", k]) == 0
+def test_cli_run_prints_an_exact_value_too_large_for_a_float(tmp_path, capsys):
+    # a departure of 10^400 puts utilization 2 * 10^400 / 3 past the float range
+    seq_path = tmp_path / "big.csv"
+    seq_path.write_text(f"# capacity=3\nid,size,arrival,departure\n1,2,0,{10**400}\n",
+                        encoding="utf-8")
+    assert main(["run", "nf", str(seq_path)]) == 0
     out, err = capsys.readouterr()
-    assert out == plain.out
-    assert err == f"note: --nf-k {k} adds no check: {reason}\n"
-    assert main(["run", "nf", str(seq_path), "--nf-k", "2"]) == 0
-    assert capsys.readouterr().err == ""
+    assert err == ""
+    assert f"lb_util: {2 * 10**400}/3\n" in out
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -163,6 +162,18 @@ def test_nf_bound_holds_on_random_instances(seq):
     assert all(e.satisfied for e in check_nf_bound(result, stats, k=2))
 
 
+@given(job_sequences())
+@settings(max_examples=80, deadline=None)
+def test_nf_report_checks_the_small_size_bound_at_e_over_the_largest_size(seq):
+    result = simulate(NextFit(seq.capacity.e), seq, record_events=False)
+    entries = build_report(result).entries
+    assert all(e.satisfied for e in entries)
+    small = [e.name for e in entries if "_small_k=" in e.name]
+    k = Fraction(seq.capacity.e, max(seq.sizes))
+    expected = [f"nf_worst_case_small_k={k}", f"nf_critical_cap_small_k={k}"]
+    assert small == (expected if 2 * max(seq.sizes) <= seq.capacity.e else [])
+
+
 # ------------------------------------------------------------ mnf guarantee
 
 def test_mnf_bound_on_single_job():
@@ -247,8 +258,8 @@ def test_mtf_bound_sweep_matches_reference(seq, shifts):
     # stretched until some segments break the bound; a trace derives its
     # records from its jobs, so the moved ones ride on a stand-in result
     servers = tuple(
-        dataclasses.replace(srv, opened_at=srv.opened_at + shift,
-                            released_at=srv.released_at + shift + 20 * abs(shift))
+        srv._replace(opened_at=srv.opened_at + shift,
+                     released_at=srv.released_at + shift + 20 * abs(shift))
         for srv, shift in zip(result.trace.servers, shifts)
     ) + result.trace.servers[len(shifts):]
     moved = SimpleNamespace(strategy=result.strategy, total_cost=result.total_cost,

@@ -20,7 +20,6 @@ from rentsim import (
     InfeasiblePlacementError,
     Job,
     JobSequence,
-    ServerRecord,
     UniformParams,
     brute_force_opt,
     build_strategy,
@@ -405,18 +404,7 @@ _SMALL_DESK = UniformParams(n=300, e=100, t=100, mu=6, seed=7)
 
 
 @pytest.mark.parametrize("record_events", [True, False])
-def test_records_are_built_on_first_read(monkeypatch, record_events):
-    built: list[int] = []
-    build_slotted = core._build_slotted
-
-    def counting_build(cls, n, ids, *columns):
-        # records are built in C from columns: count the ids of each ServerRecord batch
-        ids = list(ids)
-        if cls is ServerRecord:
-            built.extend(ids)
-        return build_slotted(cls, n, ids, *columns)
-
-    monkeypatch.setattr(core, "_build_slotted", counting_build)
+def test_records_are_built_on_first_read(record_events):
     seq = gen_uniform(_SMALL_DESK)
     for spec in all_strategy_specs(_SMALL_DESK.mu):
         result = simulate(build_strategy(spec, seq.capacity.e), seq,
@@ -425,27 +413,21 @@ def test_records_are_built_on_first_read(monkeypatch, record_events):
                                          record_events=record_events)
         assert (result.total_cost, result.servers_opened, result.critical_count) == (
             expected.total_cost, expected.servers_opened, expected.critical_count), spec
-        assert built == [], spec
+        # the cached property stores its records in the instance on first read
+        assert "servers" not in vars(result.trace), spec
         servers = result.trace.servers
-        assert built == list(range(1, result.servers_opened + 1)), spec
+        assert [srv.id for srv in servers] == list(range(1, result.servers_opened + 1)), spec
         assert result.trace.servers is servers
-        built.clear()
 
 
 def test_no_job_is_built_after_input(monkeypatch, tmp_path):
-    batches: list[type] = []
     rows: list[int] = []
-    build_slotted, post_init = core._build_slotted, Job.__post_init__
-
-    def counting_build(cls, n, *columns):
-        batches.append(cls)
-        return build_slotted(cls, n, *columns)
+    post_init = Job.__post_init__
 
     def counting_post_init(job):
         rows.append(job.id)
         post_init(job)
 
-    monkeypatch.setattr(core, "_build_slotted", counting_build)
     monkeypatch.setattr(Job, "__post_init__", counting_post_init)
     p = _SMALL_DESK
     specs = all_strategy_specs(p.mu)
@@ -467,13 +449,13 @@ def test_no_job_is_built_after_input(monkeypatch, tmp_path):
     assert check_mtf_bound(mtf, compute_stats(seq)).satisfied
     tiny = gen_uniform(UniformParams(n=8, e=10, t=8, mu=3, seed=1))
     assert brute_force_opt(tiny) <= simulate(FirstFit(10), tiny).total_cost
-    assert Job not in batches and rows == []
+    assert rows == []
     # input is checked row by row, once: reading n rows builds n jobs, and
     # validating a run over them builds none
     n_rows = len(seq)
     seq_read = read_sequence_csv(tmp_path / "seq.csv")
     assert validate_trace(simulate(FirstFit(p.e), seq_read).trace) == []
-    assert len(rows) == n_rows and sorted(rows) == sorted(seq.ids) and Job not in batches
+    assert len(rows) == n_rows and sorted(rows) == sorted(seq.ids)
 
 
 @pytest.mark.parametrize("record_events", [True, False])

@@ -2,11 +2,11 @@
 
 Every record is immutable and slotted, built the same way by keyword and by
 position, hashable and picklable.  The cold records are frozen slotted
-dataclasses; ``Event``, built once per event row, is a named tuple.  A
-strategy's decision is no record but a plain ``(place_in, close, tag)``
-triple (pinned in ``test_engine``).  ``ArrivalView`` is no record: the engine
-updates one view in place for every arrival of a run (pinned in
-``test_engine``).
+dataclasses; ``ServerRecord`` and ``Event``, built once per server and per
+event row, are named tuples.  A strategy's decision is no record but a
+plain ``(place_in, close, tag)`` triple (pinned in ``test_engine``).
+``ArrivalView`` is no record: the engine updates one view in place for
+every arrival of a run (pinned in ``test_engine``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ RECORDS = {
     UniformParams: (100, 1000, 1000, 10, 7, 2, 500),
     AdversaryParams: (Fraction(1, 4), 3, 2, 1, "ff", 16),
 }
-NAMED_TUPLES = {Event}
+NAMED_TUPLES = {ServerRecord, Event}
 SRC = Path(rentsim.__file__).parent
 
 
